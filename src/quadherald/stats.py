@@ -10,9 +10,9 @@ basis with weights
 
 where q_n is the probability that the idler quadrature of the n-photon
 component falls in the acceptance region and C is the overall acceptance
-probability.  Everything in this module is closed-form or a stable
-recurrence; independent integral and Monte Carlo checks live in
-:mod:`quadherald.oracles`.
+probability.  Everything in this module is closed-form, a stable
+recurrence or a discrete Fourier transform of a closed form; independent
+integral and Monte Carlo checks live in :mod:`quadherald.oracles`.
 
 Numerical notes
 ---------------
@@ -23,6 +23,20 @@ Numerical notes
   ``1 / erfcx(x0 sqrt((1-lam)/v))`` exactly; the scaled complementary
   error function keeps every moment finite for arbitrarily large
   thresholds.
+* q_n and p_n come from one generating function.  The q_n generate the
+  acceptance probability, ``sum_n t^n q_n = G(t) = C(t) / (1 - t)``, and
+  ``C(t) = erfc(x0' sqrt((1 - t) / (1 + (2 eta' - 1) t)))`` continued to
+  complex t is bounded on the unit disk for every eta' in (0, 1].  The
+  Cauchy integral for ``[t^n] G`` on the circle |t| = r, sampled at M
+  points, is one FFT (Bornemann, Found. Comput. Math. 11, 2011;
+  Trefethen & Weideman, SIAM Rev. 56, 2014).  Since every q_n lies in
+  [0, 1], aliasing adds at most r^M / (1 - r^M) to a coefficient.
+  ``p_n`` uses r = lam and M >= 2 (N + 1), with lam^M / C <= eps: p is
+  accurate to a few ulps absolute, for any C.  ``q_n`` uses
+  r = exp(-36 / M) and M >= 9 (N + 1): aliasing is e^-36, rounding is
+  amplified by at most r^-N <= e^4, and q is accurate to a few 1e-15
+  absolute at N ~ 10^4.  Accuracy is absolute, not relative: tail
+  entries a few ulps below zero are clipped.
 * A detector with a thermal auxiliary mode (n_bar > 0) is reduced to an
   equivalent vacuum-auxiliary detector: the acceptance probability as a
   function of lam has the same functional form under
@@ -61,6 +75,7 @@ __all__ = [
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
+_EPS = float(np.finfo(float).eps)
 
 #: Hard cap on the truncation order of the photon-number distribution.
 DEFAULT_N_CAP = 10_000
@@ -273,42 +288,49 @@ def fock_acceptance_probabilities(n_max: int, x0: float) -> np.ndarray:
     return np.clip(q, 0.0, 1.0)  # guard against roundoff at the endpoints
 
 
+def _heralding_coefficients(n_max: int, x0: float, d: DetectorModel,
+                            radius: float, m: int) -> np.ndarray:
+    """[z^n] G(radius z) / C(radius), n <= n_max, for G(t) = C(t) / (1 - t).
+
+    One m-point FFT (m even, > n_max); G(conj t) = conj G(t), so only the
+    upper half circle is evaluated.  C(t) / C(radius) is formed from
+    erfcx and w_r^2 - w^2 = 2 eta' x0'^2 (t - r) / (v(t) v(r)), so a tiny
+    C(radius) costs no accuracy.
+    """
+    x0_eff, eta = _reduced_params(x0, d)
+    a = 2.0 * eta - 1.0
+    theta = (2.0 * math.pi / m) * np.arange(m // 2 + 1)
+    dt = radius * np.expm1(1j * theta)        # t - r, no cancellation near t = r
+    u = (1.0 - radius) - dt                    # 1 - t, no cancellation near t = 1
+    v = 2.0 * eta - a * u                      # v(t) = 1 + a t
+    v_r = 1.0 + a * radius
+    ratio = (_sp.erfcx(x0_eff * np.sqrt(u / v))
+             * np.exp((2.0 * eta * x0_eff * x0_eff / v_r) * dt / v))
+    scale = m * _sp.erfcx(x0_eff * math.sqrt((1.0 - radius) / v_r))
+    return np.fft.hfft(ratio / u, m)[: n_max + 1] / scale
+
+
 def fock_acceptance_probabilities_imperfect(n_max: int, x0: float,
                                             d: DetectorModel) -> np.ndarray:
-    """q_0..q_{n_max} for an imperfect detector.
+    """q_0..q_{n_max}: acceptance probability of each Fock component.
 
-    The increment of order n is a binomial mixture of the ideal
-    increments,
-
-        q_n - q_{n-1} = sum_{m=1..n} C(n-1, m-1) eta^m (1-eta)^{n-m}
-                        sqrt(2/m) psi_{m-1}(x0') psi_m(x0'),
-
-    which is the overflow-free rewriting of the raw Hermite/factorial
-    recurrence; binomial weights are evaluated through log-factorials.
-    A thermal auxiliary mode is folded in through the vacuum-auxiliary
-    reduction (exact, see module docstring).
+    Valid for every detector: the Taylor coefficients of C(t) / (1 - t)
+    by one FFT on |t| = exp(-36 / M), M >= 9 (n_max + 1) (see the module
+    docstring), accurate to a few 1e-15 absolute at n_max ~ 10^4.
     """
     if not isinstance(n_max, (int, np.integer)) or n_max < 0:
         raise ValueError(f"n_max must be a nonnegative integer, got {n_max!r}")
     if not (np.isfinite(x0) and x0 >= 0.0):
         raise ValueError(f"x0 must be nonnegative and finite, got {x0!r}")
-    x0_eff, eta = _reduced_params(x0, d)
-    if eta == 1.0:
-        # single surviving mixture term: the ideal recurrence
-        return fock_acceptance_probabilities(n_max, x0_eff)
-    q = np.empty(n_max + 1)
-    q[0] = erfc(x0_eff)
-    if n_max >= 1:
-        psi = oscillator_eigenfunctions(x0_eff, n_max)
-        j = np.arange(n_max)
-        base = np.sqrt(2.0 / (j + 1.0)) * psi[:-1] * psi[1:]
-        log_eta, log_1m = math.log(eta), math.log1p(-eta)
-        lg = _sp.gammaln(np.arange(n_max + 2))
-        for n in range(1, n_max + 1):
-            jj = j[:n]
-            logw = (lg[n] - lg[jj + 1] - lg[n - jj]
-                    + (jj + 1) * log_eta + (n - 1 - jj) * log_1m)
-            q[n] = q[n - 1] + float(np.exp(logw) @ base[:n])
+    m = 1 << (9 * n_max + 8).bit_length()      # least power of two >= 9 (N + 1)
+    radius = math.exp(-36.0 / m)
+    c_r = acceptance_probability_imperfect(Squeezing(radius),
+                                           AcceptanceWindow.threshold(x0), d)
+    q = _heralding_coefficients(n_max, x0, d, radius, m)
+    # q_n = C(r) r^-n [z^n] G(r z) / C(r), with the rounded r: scaling by
+    # exp(36 n / M) instead would add an error growing like n eps
+    q *= c_r * np.exp(-math.log(radius) * np.arange(n_max + 1))
+    q[0] = erfc(_reduced_params(x0, d)[0])
     return np.clip(q, 0.0, 1.0)
 
 
@@ -366,11 +388,13 @@ def photon_distribution(s: Squeezing, w: AcceptanceWindow,
 
     The truncation order N is the least n with lam^(n+1) / C <= tol,
     which bounds the discarded tail because every q_n is a probability.
+    p is one FFT of C(t) / (1 - t) on |t| = lam (see the module docstring).
 
     Raises
     ------
     NonConvergenceError
-        If the required truncation order exceeds ``n_cap``.
+        If the required truncation order exceeds ``n_cap``, or if some
+        p_n < -8 eps or |1 - sum(p)| exceeds the tail bound + 8 eps (N + 1).
     """
     if not (0.0 < tol <= 1e-3):
         raise ValueError(f"tol must lie in (0, 1e-3], got {tol!r}")
@@ -390,23 +414,30 @@ def photon_distribution(s: Squeezing, w: AcceptanceWindow,
             mean_n=0.0, second_factorial=0.0, mandel_q=math.nan,
             truncation_error_bound=0.0, squeezing=s, window=w, detector=d)
 
-    n_max = max(0, math.ceil(math.log(tol * acceptance) / math.log(lam)) - 1)
+    log_c = math.log(acceptance)          # tol * C may underflow
+    n_max = max(0, math.ceil((math.log(tol) + log_c) / math.log(lam)) - 1)
     if n_max > n_cap:
         raise NonConvergenceError(
             f"photon distribution needs N_max = {n_max} > cap {n_cap} "
             f"(lam = {lam}, tol = {tol})")
 
-    if d.is_ideal:
-        q = fock_acceptance_probabilities(n_max, x0)
-    else:
-        q = fock_acceptance_probabilities_imperfect(n_max, x0, d)
-    weights = np.exp(np.arange(n_max + 1) * math.log(lam))
-    p = (1.0 - lam) * weights * q / acceptance
+    q = fock_acceptance_probabilities_imperfect(n_max, x0, d)
+    # aliasing adds at most lam^M / C to a p_n: keep it below eps at any tol
+    m_min = max(2 * (n_max + 1), (math.log(_EPS) + log_c) / math.log(lam))
+    m = 1 << (math.ceil(m_min) - 1).bit_length()
+    p = (1.0 - lam) * _heralding_coefficients(n_max, x0, d, lam, m)
+    bound = math.exp((n_max + 1) * math.log(lam) - log_c)   # lam^(N+1) may underflow
+    residual = abs(1.0 - p.sum())
+    if not (p.min() >= -8.0 * _EPS and residual <= bound + 8.0 * _EPS * (n_max + 1)):
+        raise NonConvergenceError(
+            f"p_n check failed at lam = {lam}, x0 = {x0}: min p_n = {p.min():.3e}, "
+            f"|1 - sum(p)| = {residual:.3e}, tail bound {bound:.3e}")
+    p = np.clip(p, 0.0, 1.0)
     mean, second = _moments_closed_form(lam, *_reduced_params(x0, d))
     return ConditionalStatistics(
         p=p, q=q, acceptance_probability=acceptance, mean_n=mean,
         second_factorial=second, mandel_q=(second - mean * mean) / mean,
-        truncation_error_bound=lam ** (n_max + 1) / acceptance,
+        truncation_error_bound=bound,
         squeezing=s, window=w, detector=d)
 
 

@@ -8,6 +8,8 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
+from scipy import special as sp
 
 
 def erf_series(x: float) -> float:
@@ -84,3 +86,60 @@ def psi_exact(n: int, x) -> float:
              * mp.exp(-xm * xm / 2)
              / mp.sqrt(mp.mpf(2) ** n * mp.factorial(n) * mp.sqrt(mp.pi)))
     return float(value)
+
+
+def fock_acceptance_binomial_mixture(n_max: int, x0: float, eta: float,
+                                     n_bar: float = 0.0):
+    """q_0..q_{n_max} for a lossy detector by the binomial-mixture recurrence.
+
+    The increment of order n mixes the ideal increments binomially,
+
+        q_n - q_{n-1} = sum_{m=1..n} C(n-1, m-1) eta'^m (1-eta')^{n-m}
+                        sqrt(2/m) psi_{m-1}(x0') psi_m(x0'),
+
+    with binomial weights from log-factorials.  A thermal auxiliary mode
+    enters through eta' = eta / s, x0' = x0 / sqrt(s), s = 1 + 2 n_bar
+    (1 - eta).  O(n_max^2) and limited to eta' < 1 and x0' < ~38 (psi_0
+    underflows beyond), which is why the package no longer uses it.
+    """
+    scale = 1.0 + 2.0 * n_bar * (1.0 - eta)
+    x0, eta = x0 / math.sqrt(scale), eta / scale
+    psi = np.empty(n_max + 1)
+    psi[0] = math.pi ** -0.25 * math.exp(-0.5 * x0 * x0)
+    if n_max >= 1:
+        psi[1] = math.sqrt(2.0) * x0 * psi[0]
+    for n in range(2, n_max + 1):
+        psi[n] = (x0 * math.sqrt(2.0 / n) * psi[n - 1]
+                  - math.sqrt((n - 1) / n) * psi[n - 2])
+    q = np.empty(n_max + 1)
+    q[0] = math.erfc(x0)
+    j = np.arange(n_max)
+    base = np.sqrt(2.0 / (j + 1.0)) * psi[:-1] * psi[1:]
+    log_eta, log_1m = math.log(eta), math.log1p(-eta)
+    lg = sp.gammaln(np.arange(n_max + 2))
+    for n in range(1, n_max + 1):
+        jj = j[:n]
+        logw = (lg[n] - lg[jj + 1] - lg[n - jj]
+                + (jj + 1) * log_eta + (n - 1 - jj) * log_1m)
+        q[n] = q[n - 1] + float(np.exp(logw) @ base[:n])
+    return q
+
+
+def heralded_distribution_mp(lam: float, x0: float, n_max: int, dps: int = 40):
+    """(p, q) for an ideal detector from the psi_n recurrence in mpmath.
+
+    q_n = q_{n-1} + sqrt(2/n) psi_{n-1}(x0) psi_n(x0) from q_0 = erfc(x0)
+    and p_n = (1 - lam) lam^n q_n / C, carried at ``dps`` digits and
+    rounded to doubles at the end.
+    """
+    with mp.workdps(dps):
+        x, lam_mp = mp.mpf(x0), mp.mpf(lam)
+        prev, cur = mp.mpf(0), mp.pi ** mp.mpf(-0.25) * mp.exp(-x * x / 2)
+        q = [mp.erfc(x)]
+        for n in range(1, n_max + 1):
+            prev, cur = cur, (x * mp.sqrt(mp.mpf(2) / n) * cur
+                              - mp.sqrt(mp.mpf(n - 1) / n) * prev)
+            q.append(q[-1] + mp.sqrt(mp.mpf(2) / n) * prev * cur)
+        c = mp.erfc(x * mp.sqrt((1 - lam_mp) / (1 + lam_mp)))
+        p = [(1 - lam_mp) * lam_mp ** n * q[n] / c for n in range(n_max + 1)]
+        return (np.array([float(v) for v in p]), np.array([float(v) for v in q]))

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quadherald as qh
+from _oracles import fock_acceptance_binomial_mixture, heralded_distribution_mp
+from quadherald import stats as stats_module
 from quadherald.stats import idler_quadrature_variance
 
 IDEAL = qh.DetectorModel.ideal()
@@ -248,6 +250,12 @@ class TestPhotonDistribution:
         with pytest.raises(qh.NonConvergenceError):
             qh.photon_distribution(qh.Squeezing(0.9995), thr(1.0))
 
+    def test_tol_times_acceptance_may_underflow(self):
+        # tol * C = 3.5e-327 rounds to 0; the truncation order adds logs
+        stats = qh.photon_distribution(qh.Squeezing(0.25), thr(34.2), tol=1e-20)
+        assert 0.0 < stats.truncation_error_bound <= 1e-20
+        assert abs(1.0 - stats.p.sum()) <= 1e-14
+
     def test_underflowing_acceptance_is_signalled(self):
         with pytest.raises(qh.NonConvergenceError):
             qh.photon_distribution(qh.Squeezing(0.25), thr(40.0))
@@ -257,6 +265,68 @@ class TestPhotonDistribution:
             qh.photon_distribution(qh.Squeezing(0.2), thr(1.0), tol=0.1)
         with pytest.raises(ValueError):
             qh.photon_distribution(qh.Squeezing(0.2), thr(1.0), tol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# generating-function FFT path: former defect points, oracles, runtime guard
+# ---------------------------------------------------------------------------
+
+def _scaled(c):
+    return c * (1.0 + 1e-9)               # sum(p) off by 1e-9
+
+
+def _negative_tail(c):
+    c = c.copy()                          # same sum, but p_N < 0
+    c[0] += 1e-11
+    c[-1] -= 1e-11
+    return c
+
+
+class TestGeneratingFunctionPath:
+    # at the first two the psi_n recurrence underflowed and gave sum(p) = 0
+    @pytest.mark.parametrize("lam,x0,eta,nbar", [(0.995, 45.0, 1.0, 0.0),
+                                                 (0.99, 40.0, 0.8, 0.0),
+                                                 (0.995, 34.0, 0.6, 0.3)])
+    def test_former_underflow_points(self, lam, x0, eta, nbar):
+        stats = qh.photon_distribution(
+            qh.Squeezing(lam), thr(x0), qh.DetectorModel(eta=eta, n_bar=nbar))
+        n = np.arange(stats.n_max + 1)
+        eps = np.finfo(float).eps
+        assert abs(1.0 - stats.p.sum()) <= \
+            stats.truncation_error_bound + 4.0 * eps * len(stats.p)
+        assert abs(float(n @ stats.p) - stats.mean_n) <= 1e-8 * stats.mean_n
+        assert np.all((stats.q >= 0.0) & (stats.q <= 1.0))
+
+    @pytest.mark.parametrize("x0", [5.0, 30.0])
+    def test_fft_q_matches_ideal_recurrence_at_high_order(self, x0):
+        fft = qh.fock_acceptance_probabilities_imperfect(5500, x0, IDEAL)
+        recurrence = qh.fock_acceptance_probabilities(5500, x0)
+        assert np.max(np.abs(fft - recurrence)) <= 1e-12
+
+    # C = 3.5e-307, 1.3e-92 and 0.55: p stays accurate to a few ulps absolute
+    @pytest.mark.parametrize("lam,x0", [(0.25, 34.2), (0.5, 25.0), (0.99, 6.0)])
+    def test_p_and_q_match_extended_precision(self, lam, x0):
+        stats = qh.photon_distribution(qh.Squeezing(lam), thr(x0))
+        p, q = heralded_distribution_mp(lam, x0, stats.n_max)
+        assert np.max(np.abs(stats.p - p)) <= 2e-16
+        assert np.max(np.abs(stats.q - q)) <= 1e-14
+
+    @pytest.mark.parametrize("eta", [0.6, 0.85])
+    @pytest.mark.parametrize("nbar", [0.0, 0.3])
+    def test_fft_q_matches_binomial_mixture(self, eta, nbar):
+        d = qh.DetectorModel(eta=eta, n_bar=nbar)
+        fft = qh.fock_acceptance_probabilities_imperfect(200, 1.2, d)
+        mixture = fock_acceptance_binomial_mixture(200, 1.2, eta, nbar)
+        assert np.max(np.abs(fft - mixture)) <= 1e-12
+
+    @pytest.mark.parametrize("corrupt", [_scaled, _negative_tail],
+                             ids=["scaled", "negative_tail"])
+    def test_runtime_guard_rejects_bad_coefficients(self, monkeypatch, corrupt):
+        exact = stats_module._heralding_coefficients
+        monkeypatch.setattr(stats_module, "_heralding_coefficients",
+                            lambda *args: corrupt(exact(*args)))
+        with pytest.raises(qh.NonConvergenceError):
+            qh.photon_distribution(qh.Squeezing(0.5), thr(1.0))
 
 
 # ---------------------------------------------------------------------------
