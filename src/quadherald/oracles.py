@@ -7,25 +7,26 @@ Two routes that share no algebra with the closed forms and recurrences in
   acceptance probabilities, ideal or efficiency-smeared), and
 * a shot-level Monte Carlo simulation of the heralding experiment.
 
-The Monte Carlo stream layout is reproducible by construction: every
-random value consumed by shot i is indexed by (seed, purpose, round,
-shot), so reruns - and any future parallel split over shots - produce
-bit-identical results.
+Every random value of the Monte Carlo is a uniform: shot i reads Philox
+block i under key=seed (normals come from ``ndtri``), shots run in
+fixed-size chunks reached by ``Philox.advance``, and every statistic
+derives from an integer histogram.  The result is therefore bit-identical
+across reruns and for any chunking.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special as _sp
 from scipy.integrate import quad
 
 from .errors import NonConvergenceError
-from .special import fock_quadrature_pdf, oscillator_eigenfunctions
-from .stats import AcceptanceWindow, DetectorModel, Squeezing, idler_quadrature_variance
+from .special import fock_quadrature_pdf
+from .stats import AcceptanceWindow, DetectorModel, Squeezing
 
 __all__ = [
     "MonteCarloResult",
@@ -134,17 +135,24 @@ def fock_smeared_quadrature_pdf(n: int, x: float, d: DetectorModel) -> float:
 # Monte Carlo simulation of the heralding experiment
 # ---------------------------------------------------------------------------
 
-# orders above this are sampled through the tabulated inverse CDF
-_REJECTION_N_MAX = 50
-_CDF_GRID_POINTS = 32_001
-
-# stream purposes (second SeedSequence word)
-_STREAM_FOCK, _STREAM_REJECT, _STREAM_INVCDF, _STREAM_AUX = 0, 1, 2, 3
+# shots per chunk; the result does not depend on it
+_CHUNK_SHOTS = 1 << 15
+# walk steps between exponent rescales and removals of finished shots
+_WALK_BLOCK = 8
+# Cramer's inequality |psi_n(x)| <= 1.0865 pi^(-1/4), squared
+_CRAMER_SQ = 1.0865 ** 2 / math.sqrt(math.pi)
+# resolution of the uniforms: a walk whose proven tail mass is below it
+# has passed every attainable u
+_U_RESOLUTION = 2.0 ** -52
 
 
 @dataclass(frozen=True)
 class MonteCarloResult:
-    """Empirical statistics of a simulated heralding run."""
+    """Empirical statistics of a simulated heralding run.
+
+    ``diagnostics`` holds run counters (chunks, walk steps, maximum order,
+    tail-bound stops); it is not part of :meth:`to_dict`.
+    """
 
     shots: int
     accepted: int
@@ -154,6 +162,7 @@ class MonteCarloResult:
     empirical_q: float
     standard_errors: dict
     seed: int
+    diagnostics: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         self.empirical_p.setflags(write=False)
@@ -171,104 +180,139 @@ class MonteCarloResult:
         }
 
 
-def _stream(seed: int, *words: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed,) + words))
+def _shot_uniforms(seed: int, start: int, count: int) -> np.ndarray:
+    """Uniforms of shots start .. start+count-1, shape (count, 4).
 
-
-def _pdf_at_orders(x: np.ndarray, orders: np.ndarray, n_top: int) -> np.ndarray:
-    """psi_{orders[i]}(x[i])^2, one recurrence sweep to n_top."""
-    out = np.empty_like(x)
-    psi_prev = np.zeros_like(x)
-    psi = math.pi ** -0.25 * np.exp(-0.5 * x * x)
-    hit = orders == 0
-    out[hit] = psi[hit] ** 2
-    for k in range(1, n_top + 1):
-        psi_prev, psi = psi, (x * math.sqrt(2.0 / k) * psi
-                              - math.sqrt((k - 1) / k) * psi_prev)
-        hit = orders == k
-        if hit.any():
-            out[hit] = psi[hit] ** 2
-    return out
-
-
-_envelope_cache: dict[int, np.ndarray] = {}
-
-
-def _envelope_constants(n_top: int) -> np.ndarray:
-    """c_n with psi_n(x)^2 <= c_n N(x; 0, n+1) for n <= n_top.
-
-    Grid maximum of the density ratio with 10% headroom; the grid spacing
-    is far below the oscillation scale pi/sqrt(2n+1) of psi_n^2.
+    Row i is Philox block start+i under key=seed, each 64-bit word mapped
+    to the midpoint of one of 2^52 equal cells of (0, 1), so ``ndtri``
+    stays finite and u, 1-u are equally likely.
     """
-    if n_top not in _envelope_cache:
-        b = _support_halfwidth(n_top)
-        grid = np.linspace(-b, b, 8001)
-        psi = oscillator_eigenfunctions(grid, n_top)
-        n = np.arange(n_top + 1)[:, None]
-        envelope = np.exp(-grid[None, :] ** 2 / (2.0 * (n + 1.0))) \
-            / np.sqrt(2.0 * math.pi * (n + 1.0))
-        _envelope_cache[n_top] = 1.1 * (psi ** 2 / envelope).max(axis=1)
-    return _envelope_cache[n_top]
+    raw = np.random.Philox(key=seed).advance(start).random_raw(4 * count)
+    raw >>= np.uint64(12)
+    u = raw.astype(np.float64)
+    u += 0.5
+    u *= _U_RESOLUTION
+    return u.reshape(count, 4)
 
 
-def _sample_fock_quadratures(n: np.ndarray, seed: int) -> np.ndarray:
-    """Draw x ~ psi_{n_i}^2 for every shot, deterministically in (seed, i).
+def _quadratures(lam: float, d: DetectorModel,
+                 u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pre-detector and measured idler quadratures from columns 0 and 1 of u.
 
-    Orders up to _REJECTION_N_MAX use rejection sampling against a
-    Gaussian envelope; every round consumes one proposal and one uniform
-    per shot slot from a round-indexed stream, so acceptance order cannot
-    perturb other shots.  Larger orders draw a single uniform each and
-    invert a dense tabulated CDF.
+    The pre-detector quadrature has the thermal marginal of the idler,
+    variance (1+lam) / (2(1-lam)); the detector mixes in its auxiliary
+    mode with weight sqrt(1-eta).
     """
-    shots = len(n)
-    x = np.zeros(shots)
+    x = math.sqrt((1.0 + lam) / (2.0 * (1.0 - lam))) * _sp.ndtri(u[:, 0])
+    aux_sd = math.sqrt((1.0 - d.eta) * (1.0 + 2.0 * d.n_bar) / 2.0)
+    return x, math.sqrt(d.eta) * x + aux_sd * _sp.ndtri(u[:, 1])
 
-    small = n <= _REJECTION_N_MAX
-    if small.any():
-        n_top = int(n[small].max())
-        c = _envelope_constants(max(n_top, 1))
-        active = small.copy()
-        t = 0
-        while active.any():
-            rng = _stream(seed, _STREAM_REJECT, t)
-            z = rng.standard_normal(shots)
-            u = rng.random(shots)
-            idx = np.nonzero(active)[0]
-            nn = n[idx]
-            sigma = np.sqrt(nn + 1.0)
-            proposal = z[idx] * sigma
-            target = _pdf_at_orders(proposal, nn, n_top)
-            envelope = np.exp(-proposal ** 2 / (2.0 * sigma * sigma)) \
-                / (math.sqrt(2.0 * math.pi) * sigma)
-            ok = u[idx] * c[nn] * envelope <= target
-            x[idx[ok]] = proposal[ok]
-            active[idx[ok]] = False
-            t += 1
 
-    big = ~small
-    if big.any():
-        u_all = _stream(seed, _STREAM_INVCDF).random(shots)
-        n_top = int(n.max())
-        b = _support_halfwidth(n_top)
-        grid = np.linspace(-b, b, _CDF_GRID_POINTS)
-        need = np.unique(n[big])
-        # one recurrence sweep over the grid; invert the CDF of each
-        # needed order as soon as its row appears
-        psi_prev = np.zeros_like(grid)
-        psi = math.pi ** -0.25 * np.exp(-0.5 * grid * grid)
-        for k in range(1, n_top + 1):
-            psi_prev, psi = psi, (grid * math.sqrt(2.0 / k) * psi
-                                  - math.sqrt((k - 1) / k) * psi_prev)
-            if k in need:
-                pdf = psi * psi
-                cdf = np.concatenate(([0.0], np.cumsum(
-                    0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))))
-                cdf /= cdf[-1]
-                cdf += np.arange(_CDF_GRID_POINTS) * 1e-15  # strictly increasing
-                cdf /= cdf[-1]
-                rows = big & (n == k)
-                x[rows] = np.interp(u_all[rows], cdf, grid)
-    return x
+def _log_mehler(x, lam: float):
+    """log M(x), M(x) = sum_n lam^n psi_n(x)^2, by Mehler's formula.
+
+    M(x) = exp(-x^2 (1-lam)/(1+lam)) / sqrt(pi (1-lam^2)).
+    """
+    return -x * x * (1.0 - lam) / (1.0 + lam) \
+        - 0.5 * math.log(math.pi * (1.0 - lam * lam))
+
+
+def _sample_orders(x: np.ndarray, u: np.ndarray,
+                   lam: float) -> tuple[np.ndarray, int]:
+    """Draw n_i from P(n | x_i) = lam^n psi_n(x_i)^2 / M(x_i) by inversion.
+
+    n_i is the least n whose cumulative probability exceeds u_i.  All
+    shots walk the psi_n recurrence in lockstep, scaled by
+    lam^(n/2) / sqrt(M(x)) so that its squares are the probabilities.
+    Each shot carries a base-2 exponent, rescaled every _WALK_BLOCK steps,
+    because the seed pi^(-1/4) e^(-x^2/2) / sqrt(M(x)) =
+    (1-lam^2)^(1/4) exp(-lam x^2 / (1+lam)) underflows for lam near 1.
+    Finished shots are dropped in batches at those points, so the work is
+    O(sum n_i).  Cramer's inequality bounds the mass beyond order n by
+    _CRAMER_SQ lam^(n+1) / ((1-lam) M(x)); a shot whose cumulative sum,
+    through rounding, has not passed u when that bound falls below the
+    resolution of u stops there.  Returns (n, number of such stops).
+    """
+    n = np.zeros(len(x), dtype=np.int64)
+    if lam == 0.0 or len(x) == 0:
+        return n, 0
+    log_lam = math.log(lam)
+    n_stop = np.ceil((math.log(_U_RESOLUTION * (1.0 - lam) / _CRAMER_SQ)
+                      + _log_mehler(x, lam)) / log_lam) - 1.0
+    t = (0.25 * math.log1p(-lam * lam) - lam * x * x / (1.0 + lam)) \
+        / math.log(2.0)
+    e = np.floor(t)
+    cur = np.exp2(t - e)                 # the scaled psi_n is cur * 2^e
+    e = e.astype(np.int64)
+    prev = np.zeros_like(cur)
+    scale = np.ldexp(1.0, 2 * e)         # 2^(2e), 0 while it underflows
+    total = cur * cur * scale
+    count = (total <= u).astype(np.int64)
+    xs = x * math.sqrt(2.0 * lam)
+    idx = np.arange(len(x))
+    k, tail_stops = 0, 0
+    new, sq, below = (np.empty_like(x), np.empty_like(x),
+                      np.empty(len(x), dtype=bool))
+    while True:
+        done = total > u
+        out = done | (k >= n_stop)
+        n_out = int(np.count_nonzero(out))
+        stops = n_out - int(np.count_nonzero(done))
+        # drop finished shots once they are an eighth of the active ones;
+        # a finished shot's count no longer moves, a stopped one's would
+        if stops or 8 * n_out >= len(idx):
+            tail_stops += stops
+            n[idx[out]] = count[out]
+            keep = ~out
+            if n_out == len(idx):
+                return n, tail_stops
+            idx, xs, u, n_stop, e, scale, prev, cur, total, count = (
+                a[keep] for a in (idx, xs, u, n_stop, e, scale, prev, cur,
+                                  total, count))
+            new, sq, below = (np.empty_like(cur), np.empty_like(cur),
+                              np.empty(len(cur), dtype=bool))
+        for _ in range(_WALK_BLOCK):
+            k += 1
+            np.multiply(xs, cur, out=new)
+            new *= 1.0 / math.sqrt(k)
+            prev *= lam * math.sqrt((k - 1) / k)
+            new -= prev
+            prev, cur, new = cur, new, prev
+            np.multiply(cur, cur, out=sq)
+            sq *= scale
+            total += sq
+            np.less_equal(total, u, out=below)
+            count += below
+        _, de = np.frexp(np.maximum(np.abs(prev), np.abs(cur)))
+        np.ldexp(prev, -de, out=prev)
+        np.ldexp(cur, -de, out=cur)
+        e += de
+        scale = np.ldexp(1.0, 2 * e)
+
+
+def _histogram_statistics(hist: np.ndarray) -> tuple[float, float, float, float]:
+    """(mean, its standard error, Mandel Q, its standard error) of counts.
+
+    Q uses the unbiased variance; its standard error is the delta method
+    on the sample means of n and n^2.
+    """
+    m = float(hist.sum())
+    n = np.arange(len(hist), dtype=np.float64)
+    nb = n * n
+    mean = float(n @ hist) / m
+    if m < 2.0:
+        return mean, math.nan, math.nan, math.nan
+    mean_nb = float(nb @ hist) / m
+    dn, dnb = n - mean, nb - mean_nb
+    s_nn, s_nb, s_bb = (float(v @ hist) for v in (dn * dn, dn * dnb, dnb * dnb))
+    var1 = s_nn / (m - 1.0)
+    se_mean = math.sqrt(var1 / m)
+    if mean == 0.0:
+        return mean, se_mean, math.nan, math.nan
+    cov = np.array([[s_nn, s_nb], [s_nb, s_bb]]) / (m - 1.0)
+    grad = np.array([-mean_nb / mean ** 2 - 1.0, 1.0 / mean])
+    se_q = math.sqrt(max(float(grad @ cov @ grad), 0.0) / m)
+    return mean, se_mean, (var1 - mean) / mean, se_q
 
 
 def monte_carlo_experiment(s: Squeezing, w: AcceptanceWindow,
@@ -277,34 +321,40 @@ def monte_carlo_experiment(s: Squeezing, w: AcceptanceWindow,
                            seed: int = 0) -> MonteCarloResult:
     """Simulate the heralding experiment shot by shot.
 
-    Per shot: draw the joint photon number from the geometric law
-    (1-lam) lam^n, draw the idler quadrature from the matching Fock pdf
-    (phase-randomization leaves that pdf phase-independent), mix in the
-    detector's auxiliary noise, and accept when the measured value falls
-    in the window.  Identical (seed, shots, parameters) reproduce the
-    result bit for bit.
+    The joint law (1-lam) lam^n psi_n(x)^2 of photon number n and idler
+    quadrature x is sampled in the order a lab sees it: x from its thermal
+    marginal, the detector's auxiliary noise mixed in, the window applied,
+    and for accepted shots only n from P(n | x) (phase randomization
+    leaves psi_n^2 phase-independent).  Shot i reads Philox block i under
+    key=seed; shots run in chunks and every statistic derives from the
+    integer histogram of accepted n, so the result is bit-identical for
+    any chunking and identical (seed, shots, parameters) reproduce it.
     """
     if not isinstance(shots, (int, np.integer)) or shots < 1:
         raise ValueError(f"shots must be a positive integer, got {shots!r}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2 ** 128:
+        raise ValueError(f"seed must be an integer in [0, 2^128), got {seed!r}")
     d = d or DetectorModel.ideal()
 
-    u = _stream(seed, _STREAM_FOCK).random(shots)
-    if s.lam > 0.0:
-        n = np.floor(np.log1p(-u) / math.log(s.lam)).astype(np.int64)
-    else:
-        n = np.zeros(shots, dtype=np.int64)
+    hist = np.zeros(1, dtype=np.int64)
+    chunks, tail_stops = 0, 0
+    for start in range(0, shots, _CHUNK_SHOTS):
+        u = _shot_uniforms(seed, start, min(_CHUNK_SHOTS, shots - start))
+        x, measured = _quadratures(s.lam, d, u)
+        accept = w.contains(measured)
+        n, stops = _sample_orders(x[accept], u[accept, 2], s.lam)
+        counts = np.bincount(n, minlength=len(hist))
+        counts[:len(hist)] += hist
+        hist = counts
+        chunks += 1
+        tail_stops += stops
 
-    x_ideal = _sample_fock_quadratures(n, seed)
-    z_aux = _stream(seed, _STREAM_AUX).standard_normal(shots)
-    aux_sd = math.sqrt((1.0 - d.eta) * (1.0 + 2.0 * d.n_bar) / 2.0)
-    x = math.sqrt(d.eta) * x_ideal + aux_sd * z_aux
-
-    accept = w.contains(x)
-    accepted = int(accept.sum())
+    accepted = int(hist.sum())
     emp_c = accepted / shots
     se_c = math.sqrt(emp_c * (1.0 - emp_c) / shots)
+    diagnostics = {"chunks": chunks, "tail_bound_stops": tail_stops,
+                   "walk_steps": int(np.arange(len(hist)) @ hist),
+                   "max_order": len(hist) - 1 if accepted else 0}
 
     if accepted == 0:
         warnings.warn("no shots accepted; empirical statistics are undefined")
@@ -312,33 +362,14 @@ def monte_carlo_experiment(s: Squeezing, w: AcceptanceWindow,
             shots=shots, accepted=0, empirical_p=np.zeros(0),
             empirical_c=0.0, empirical_mean=math.nan, empirical_q=math.nan,
             standard_errors={"C": se_c, "mean": math.nan, "Q": math.nan},
-            seed=int(seed))
+            seed=int(seed), diagnostics=diagnostics)
     if accepted < 100:
         warnings.warn(f"only {accepted} shots accepted; "
                       "empirical statistics will be noisy")
 
-    na = n[accept].astype(float)
-    m = float(accepted)
-    emp_p = np.bincount(n[accept]) / m
-    mean = float(na.mean())
-    var1 = float(na.var(ddof=1)) if accepted > 1 else math.nan
-    se_mean = math.sqrt(var1 / m) if accepted > 1 else math.nan
-    if mean > 0.0 and accepted > 1:
-        emp_q = (var1 - mean) / mean
-        nb = na * na
-        cov = np.cov(na, nb, ddof=1)
-        grad = np.array([-nb.mean() / mean ** 2 - 1.0, 1.0 / mean])
-        se_q = math.sqrt(max(float(grad @ cov @ grad), 0.0) / m)
-    else:
-        emp_q, se_q = math.nan, math.nan
-
+    mean, se_mean, emp_q, se_q = _histogram_statistics(hist)
     return MonteCarloResult(
-        shots=shots, accepted=accepted, empirical_p=emp_p,
+        shots=shots, accepted=accepted, empirical_p=hist / float(accepted),
         empirical_c=emp_c, empirical_mean=mean, empirical_q=emp_q,
         standard_errors={"C": se_c, "mean": se_mean, "Q": se_q},
-        seed=int(seed))
-
-
-def idler_marginal_variance(s: Squeezing, d: DetectorModel | None = None) -> float:
-    """Variance of the measured quadrature over all shots (no conditioning)."""
-    return idler_quadrature_variance(s, d or DetectorModel.ideal())
+        seed=int(seed), diagnostics=diagnostics)

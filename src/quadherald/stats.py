@@ -78,7 +78,7 @@ _SQRT_PI = math.sqrt(math.pi)
 _EPS = float(np.finfo(float).eps)
 
 #: Hard cap on the truncation order of the photon-number distribution.
-DEFAULT_N_CAP = 10_000
+DEFAULT_N_CAP = 100_000
 
 
 @dataclass(frozen=True)

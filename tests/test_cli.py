@@ -82,7 +82,7 @@ class TestStats:
         assert code == 2 and "undefined" in err
 
     def test_nonconvergence_exits_3(self, capsys):
-        code, _, err = run(capsys, "stats", "--lambda", "0.9995", "--x0", "1")
+        code, _, err = run(capsys, "stats", "--lambda", "0.99999", "--x0", "1")
         assert code == 3 and "cap" in err
 
     def test_bad_usage_exits_2(self, capsys):

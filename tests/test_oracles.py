@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.stats import kstest
+from scipy.stats import chisquare, kstest
 
 import quadherald as qh
-from quadherald.oracles import _sample_fock_quadratures, _stream, \
-    idler_marginal_variance
+from quadherald import oracles
+from quadherald.oracles import _log_mehler, _quadratures, _sample_orders, \
+    _shot_uniforms
+from quadherald.stats import idler_quadrature_variance
 
 IDEAL = qh.DetectorModel.ideal()
 
@@ -84,29 +86,66 @@ class TestQuadratureOracle:
             qh.fock_acceptance_probability_quadrature(-1, thr(1.0))
 
 
+def fock_weights(x, lam, n_max):
+    """lam^n psi_n(x)^2 / M(x) for n <= n_max, psi_n from the plain table."""
+    psi = qh.oscillator_eigenfunctions(x, n_max)
+    return lam ** np.arange(n_max + 1) * psi * psi / math.exp(_log_mehler(x, lam))
+
+
+def chi_square_pvalue(samples, probs):
+    """Chi-square p-value of integer samples against probs; the bins with
+    fewer than 5 expected counts, and the orders beyond probs, are pooled."""
+    expected = probs * len(samples)
+    big = expected >= 5.0
+    observed = np.bincount(samples, minlength=len(probs))[:len(probs)][big]
+    obs = np.append(observed, len(samples) - observed.sum())
+    exp = np.append(expected[big], len(samples) - expected[big].sum())
+    return chisquare(obs, exp).pvalue
+
+
 class TestFockSampler:
     def test_deterministic(self):
-        n = np.array([0, 1, 5, 30, 60, 120] * 100)
-        a = _sample_fock_quadratures(n, seed=7)
-        b = _sample_fock_quadratures(n, seed=7)
+        u = _shot_uniforms(7, 0, 3000)
+        # shot i reads Philox block i, wherever the draw starts
+        assert np.array_equal(u[1234:], _shot_uniforms(7, 1234, 1766))
+        assert not np.array_equal(u, _shot_uniforms(8, 0, 3000))
+        assert 0.0 < u.min() and u.max() < 1.0
+        x, _ = _quadratures(0.9, IDEAL, u)
+        a, _ = _sample_orders(x, u[:, 2], 0.9)
+        b, _ = _sample_orders(x, u[:, 2], 0.9)
         assert np.array_equal(a, b)
-        c = _sample_fock_quadratures(n, seed=8)
-        assert not np.array_equal(a, c)
 
-    @pytest.mark.parametrize("n", [0, 3, 17, 80])
-    def test_marginal_matches_fock_pdf(self, n):
+    @pytest.mark.parametrize("x,lam", [(0.0, 0.5), (1.7, 0.6), (4.0, 0.8),
+                                       (9.0, 0.95)])
+    def test_conditional_order_matches_fock_weights(self, x, lam):
         shots = 200_000
-        x = _sample_fock_quadratures(np.full(shots, n), seed=11)
-        # reference CDF on a dense grid (trapezoid of the pdf; error far
-        # below the KS resolution at this sample size)
-        b = math.sqrt(2 * n + 1) + 10.0
-        grid = np.linspace(-b, b, 40_001)
-        pdf = qh.fock_quadrature_pdf(n, grid)
-        cdf = np.concatenate(([0.0], np.cumsum(
-            0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))))
-        cdf /= cdf[-1]
-        stat = kstest(x, lambda v: np.interp(v, grid, cdf)).statistic
-        assert stat < 1.949 / math.sqrt(shots)  # 1e-3 significance
+        u = _shot_uniforms(11, 0, shots)[:, 2]
+        n, stops = _sample_orders(np.full(shots, x), u, lam)
+        assert stops == 0
+        probs = fock_weights(x, lam, 1500)
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        assert chi_square_pvalue(n, probs) > 1e-3
+
+    @pytest.mark.parametrize("x,lam", [(0.0, 0.3), (1.2, 0.5), (3.5, 0.9),
+                                       (-6.0, 0.97), (20.0, 0.9)])
+    def test_mehler_normalizer(self, x, lam):
+        direct = math.fsum(lam ** np.arange(3001)
+                           * qh.oscillator_eigenfunctions(x, 3000) ** 2)
+        assert math.exp(_log_mehler(x, lam)) == pytest.approx(direct, rel=1e-12)
+
+    def test_conditional_moments_where_the_seed_underflows(self):
+        # exp(-lam x^2 / (1+lam)) = exp(-1799) underflows; the walk carries
+        # an exponent.  E[n|x] and Var[n|x] are lam d/dlam of log M and of
+        # E[n|x]; a sampler that loses the scale misses them by far
+        x, lam, shots = 60.0, 0.999, 20_000
+        n, stops = _sample_orders(np.full(shots, x),
+                                  _shot_uniforms(5, 0, shots)[:, 2], lam)
+        assert stops == 0
+        mean = lam * (2 * x * x / (1 + lam) ** 2 + lam / (1 - lam * lam))
+        var = lam * (2 * x * x * (1 - lam) / (1 + lam) ** 3
+                     + 2 * lam / (1 - lam * lam) ** 2)
+        assert abs(n.mean() - mean) <= 5.0 * math.sqrt(var / shots)
+        assert n.var(ddof=1) == pytest.approx(var, rel=0.06)
 
 
 class TestMonteCarlo:
@@ -144,7 +183,7 @@ class TestMonteCarlo:
         res = qh.monte_carlo_experiment(qh.Squeezing(0.2), w,
                                         shots=100_000, seed=9)
         # one-sided window: P(0.5 < x < 1.5) for the Gaussian marginal
-        var = idler_marginal_variance(qh.Squeezing(0.2))
+        var = idler_quadrature_variance(qh.Squeezing(0.2), IDEAL)
         expected = 0.5 * (qh.gaussian_tail_two_sided(var, 0.5)
                           - qh.gaussian_tail_two_sided(var, 1.5))
         assert abs(res.empirical_c - expected) <= \
@@ -160,13 +199,8 @@ class TestMonteCarlo:
         s = qh.Squeezing(0.3)
         d = qh.DetectorModel(eta=0.8, n_bar=0.2)
         shots = 1_000_000
-        u = _stream(4, 0).random(shots)
-        n = np.floor(np.log1p(-u) / math.log(s.lam)).astype(np.int64)
-        x_ideal = _sample_fock_quadratures(n, seed=4)
-        z_aux = _stream(4, 3).standard_normal(shots)
-        aux_sd = math.sqrt((1 - d.eta) * (1 + 2 * d.n_bar) / 2)
-        x = math.sqrt(d.eta) * x_ideal + aux_sd * z_aux
-        sd = math.sqrt(idler_marginal_variance(s, d))
+        _, x = _quadratures(s.lam, d, _shot_uniforms(4, 0, shots))
+        sd = math.sqrt(idler_quadrature_variance(s, d))
         stat = kstest(x, "norm", args=(0.0, sd)).statistic
         assert stat < 1.949 / math.sqrt(shots)
 
@@ -176,3 +210,48 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             qh.monte_carlo_experiment(qh.Squeezing(0.2), thr(1.0),
                                       shots=10, seed=-1)
+        with pytest.raises(ValueError):   # beyond the Philox key space
+            qh.monte_carlo_experiment(qh.Squeezing(0.2), thr(1.0),
+                                      shots=10, seed=2 ** 128)
+
+    def test_zero_threshold_gives_geometric_distribution(self):
+        # accepting every shot must return the n-first definition's
+        # marginal (1-lam) lam^n, though n is drawn after x
+        lam = 0.6
+        res = qh.monte_carlo_experiment(qh.Squeezing(lam), thr(0.0),
+                                        shots=200_000, seed=6)
+        probs = (1 - lam) * lam ** np.arange(200)
+        n = np.repeat(np.arange(len(res.empirical_p)),
+                      np.rint(res.empirical_p * res.accepted).astype(int))
+        assert chi_square_pvalue(n, probs) > 1e-3
+
+    def test_strong_squeezing_is_unbiased(self):
+        # a tabulated inverse CDF of psi_n^2 gave z_C = -8.6 here
+        s, w = qh.Squeezing(0.999), thr(2.0)
+        res = qh.monte_carlo_experiment(s, w, shots=30_000, seed=1)
+        se = res.standard_errors
+        assert abs(res.empirical_c - qh.acceptance_probability(s, w)) \
+            <= 5 * se["C"]
+        assert abs(res.empirical_mean - qh.mean_photon_number(s, w)) \
+            <= 5 * se["mean"]
+        assert abs(res.empirical_q - qh.mandel_q(s, w)) <= 5 * se["Q"]
+        assert res.diagnostics["tail_bound_stops"] == 0
+
+    def test_chunking_is_bit_identical(self, monkeypatch):
+        s, w, d = qh.Squeezing(0.7), thr(1.0), qh.DetectorModel(eta=0.8)
+        whole = qh.monte_carlo_experiment(s, w, d, shots=5321, seed=12)
+        monkeypatch.setattr(oracles, "_CHUNK_SHOTS", 1000)
+        chunked = qh.monte_carlo_experiment(s, w, d, shots=5321, seed=12)
+        assert (whole.diagnostics["chunks"], chunked.diagnostics["chunks"]) \
+            == (1, 6)
+        assert json.dumps(chunked.to_dict()) == json.dumps(whole.to_dict())
+
+    def test_diagnostics(self):
+        res = qh.monte_carlo_experiment(qh.Squeezing(0.5), thr(1.0),
+                                        shots=20_000, seed=3)
+        counts = np.rint(res.empirical_p * res.accepted).astype(int)
+        assert res.diagnostics == {
+            "chunks": 1, "tail_bound_stops": 0,
+            "walk_steps": int(np.arange(len(counts)) @ counts),
+            "max_order": len(counts) - 1}
+        assert "diagnostics" not in res.to_dict()

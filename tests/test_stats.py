@@ -248,7 +248,7 @@ class TestPhotonDistribution:
 
     def test_truncation_cap(self):
         with pytest.raises(qh.NonConvergenceError):
-            qh.photon_distribution(qh.Squeezing(0.9995), thr(1.0))
+            qh.photon_distribution(qh.Squeezing(0.99999), thr(1.0))
 
     def test_tol_times_acceptance_may_underflow(self):
         # tol * C = 3.5e-327 rounds to 0; the truncation order adds logs
