@@ -12,20 +12,16 @@ Monte Carlo verification paths.
 __version__ = "0.1.0"
 
 from .errors import NonConvergenceError, UndefinedQError
-from .special import (erf, erfc, fock_quadrature_pdf, gaussian_tail_two_sided,
-                      oscillator_eigenfunctions)
+from .special import erf, erfc, fock_quadrature_pdf, oscillator_eigenfunctions
 from .stats import (AcceptanceWindow, ConditionalStatistics, DetectorModel,
-                    Squeezing, acceptance_probability,
-                    acceptance_probability_imperfect,
-                    fock_acceptance_probabilities,
+                    Squeezing, acceptance_probability_imperfect,
                     fock_acceptance_probabilities_imperfect,
                     mandel_q, mandel_q_slope_at_zero_squeezing,
-                    mean_photon_number, moment_via_generating_function,
-                    photon_distribution, second_factorial_moment)
-from .phase_space import (RadialGrid, husimi, husimi_radial_profile, wigner,
-                          wigner_radial_profile)
+                    mean_photon_number, photon_distribution,
+                    second_factorial_moment)
+from .phase_space import husimi, wigner
 from .oracles import (MonteCarloResult, fock_acceptance_probability_quadrature,
-                      fock_smeared_quadrature_pdf, monte_carlo_experiment)
+                      monte_carlo_experiment)
 from .solvers import (SolveReport, efficiency_threshold,
                       minimum_poissonian_threshold,
                       optimal_squeezing_for_mandel_q,
@@ -35,17 +31,14 @@ __all__ = [
     "__version__",
     "NonConvergenceError", "UndefinedQError",
     "erf", "erfc", "oscillator_eigenfunctions", "fock_quadrature_pdf",
-    "gaussian_tail_two_sided",
     "Squeezing", "AcceptanceWindow", "DetectorModel", "ConditionalStatistics",
-    "acceptance_probability", "acceptance_probability_imperfect",
-    "fock_acceptance_probabilities", "fock_acceptance_probabilities_imperfect",
+    "acceptance_probability_imperfect",
+    "fock_acceptance_probabilities_imperfect",
     "photon_distribution", "mean_photon_number", "second_factorial_moment",
-    "mandel_q", "moment_via_generating_function",
-    "mandel_q_slope_at_zero_squeezing",
-    "RadialGrid", "husimi", "wigner", "husimi_radial_profile",
-    "wigner_radial_profile",
+    "mandel_q", "mandel_q_slope_at_zero_squeezing",
+    "husimi", "wigner",
     "MonteCarloResult", "fock_acceptance_probability_quadrature",
-    "fock_smeared_quadrature_pdf", "monte_carlo_experiment",
+    "monte_carlo_experiment",
     "SolveReport", "solve_threshold_for_mandel_q",
     "minimum_poissonian_threshold", "optimal_squeezing_for_mandel_q",
     "efficiency_threshold",

@@ -1,11 +1,15 @@
 """Independent verification paths for the analytic pipeline.
 
-Two routes that share no algebra with the closed forms and recurrences in
-:mod:`quadherald.stats`:
+Two routes that share no algebra with the closed forms and the
+generating-function FFT of :mod:`quadherald.stats`:
 
 * direct adaptive quadrature of the defining integrals (per-Fock
   acceptance probabilities, ideal or efficiency-smeared), and
 * a shot-level Monte Carlo simulation of the heralding experiment.
+
+Cross-checks used only by the test suite (the psi_n recurrence for q_n,
+finite-difference moments, the literal smeared pdf) live beside the
+tests, in ``tests/_oracles.py``.
 
 Every random value of the Monte Carlo is a uniform: shot i reads Philox
 block i under key=seed (normals come from ``ndtri``), shots run in
@@ -31,7 +35,6 @@ from .stats import AcceptanceWindow, DetectorModel, Squeezing
 __all__ = [
     "MonteCarloResult",
     "fock_acceptance_probability_quadrature",
-    "fock_smeared_quadrature_pdf",
     "monte_carlo_experiment",
 ]
 
@@ -105,29 +108,6 @@ def fock_acceptance_probability_quadrature(n: int, w: AcceptanceWindow,
         raise NonConvergenceError(
             f"smeared quadrature error estimate {err:.2e} exceeds "
             f"{_SMEARED_ABS_TOL} (n = {n}, window = {w}, detector = {d})")
-    return val
-
-
-def fock_smeared_quadrature_pdf(n: int, x: float, d: DetectorModel) -> float:
-    """Pdf of the measured quadrature given n photons, by inner quadrature.
-
-    This is the literal convolution of psi_n^2 with the detector's
-    Gaussian kernel; it exists so tests can check the closed-form window
-    mass used by :func:`fock_acceptance_probability_quadrature` against
-    the doubly numerical route.
-    """
-    if d.eta == 1.0:
-        return fock_quadrature_pdf(n, x)
-    sqrt_eta = math.sqrt(d.eta)
-    var = (1.0 - d.eta) * (1.0 + 2.0 * d.n_bar) / 2.0
-    norm = 1.0 / math.sqrt(2.0 * math.pi * var)
-    b = _support_halfwidth(n)
-
-    def integrand(xp: float) -> float:
-        return fock_quadrature_pdf(n, xp) * norm * math.exp(
-            -(x - sqrt_eta * xp) ** 2 / (2.0 * var))
-
-    val, _ = quad(integrand, -b, b, epsabs=1e-12, epsrel=1e-12, limit=400)
     return val
 
 

@@ -2,7 +2,8 @@
 
 States heralded by a phase-randomized quadrature measurement carry no
 phase information, so their Husimi and Wigner functions are axially
-symmetric and a radial profile describes them completely.  Conventions
+symmetric: :func:`husimi` and :func:`wigner` take radii and return the
+radial profile, which describes them completely.  Conventions
 match the quadrature normalization used everywhere else (vacuum
 variance 1/2): the vacuum Husimi and Wigner functions both peak at
 1/pi, and both representations integrate to one over the plane.
@@ -11,13 +12,11 @@ variance 1/2): the vacuum Husimi and Wigner functions both peak at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
-__all__ = ["RadialGrid", "husimi", "wigner",
-           "husimi_radial_profile", "wigner_radial_profile"]
+__all__ = ["husimi", "wigner"]
 
 # how far a distribution may be from sum(p) == 1 before we refuse it
 _NORMALIZATION_TOL = 1e-6
@@ -41,28 +40,6 @@ def _checked_radii(r) -> tuple[np.ndarray, bool]:
     if np.any(r < 0.0) or not np.all(np.isfinite(r)):
         raise ValueError("radii must be finite and nonnegative")
     return r, scalar
-
-
-@dataclass(frozen=True)
-class RadialGrid:
-    """A quasidistribution sampled on radii measured from the origin."""
-
-    radii: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        radii = np.asarray(self.radii, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if radii.ndim != 1 or radii.shape != values.shape:
-            raise ValueError("radii and values must be 1-D and equal length")
-        if len(radii) == 0 or radii[0] != 0.0 or np.any(np.diff(radii) <= 0.0):
-            raise ValueError("radii must start at 0 and increase strictly")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("values must be finite")
-        object.__setattr__(self, "radii", radii)
-        object.__setattr__(self, "values", values)
-        self.radii.setflags(write=False)
-        self.values.setflags(write=False)
 
 
 def husimi(p, r):
@@ -107,12 +84,3 @@ def wigner(p, r):
     out = acc / math.pi
     return float(out[0]) if scalar else out
 
-
-def husimi_radial_profile(p, radii) -> RadialGrid:
-    radii = np.asarray(radii, dtype=float)
-    return RadialGrid(radii=radii, values=husimi(p, radii))
-
-
-def wigner_radial_profile(p, radii) -> RadialGrid:
-    radii = np.asarray(radii, dtype=float)
-    return RadialGrid(radii=radii, values=wigner(p, radii))

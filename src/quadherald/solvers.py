@@ -12,12 +12,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 from scipy.optimize import brentq
 
 from .errors import NonConvergenceError
 from .stats import AcceptanceWindow, DetectorModel, Squeezing, \
-    acceptance_probability_imperfect, mandel_q
+    acceptance_probability_imperfect, mandel_q, mandel_q_slope_at_zero_squeezing
 
 __all__ = [
     "SolveReport",
@@ -94,29 +93,22 @@ def solve_threshold_for_mandel_q(s: Squeezing, q_target: float,
                        bracket=(0.0, x_hi), feasible=True)
 
 
-def _weak_squeezing_balance(x0: float) -> float:
-    """Zero at the threshold where Q's slope in lam changes sign at lam -> 0."""
-    g = 2.0 * x0 / (math.sqrt(math.pi) * _sp.erfcx(x0))
-    return (1.0 + g) ** 2 - 2.0 - g * (1.0 + 2.0 * x0 * x0)
-
-
 def minimum_poissonian_threshold() -> SolveReport:
     """Smallest threshold reaching Poissonian statistics as squeezing -> 0.
 
-    Root of the weak-squeezing balance condition on [0, 2]; the root is
-    unique there (verified by a sign scan) and evaluates to 0.4248.
+    Root of Q's slope in lam at lam -> 0 (ideal detector) on [0, 2]; the
+    root is unique there (verified by a sign scan) and evaluates to 0.4248.
     """
+    slope = mandel_q_slope_at_zero_squeezing
     grid = np.linspace(0.0, 2.0, 81)
-    signs = np.sign([_weak_squeezing_balance(x) for x in grid])
+    signs = np.sign([slope(x) for x in grid])
     changes = np.nonzero(np.diff(signs) != 0)[0]
     if len(changes) != 1:
         raise NonConvergenceError(
             f"expected exactly one sign change on [0, 2], found {len(changes)}")
     lo, hi = grid[changes[0]], grid[changes[0] + 1]
-    root, res = brentq(_weak_squeezing_balance, lo, hi,
-                       xtol=1e-14, full_output=True)
-    return SolveReport(solution=float(root),
-                       residual=_weak_squeezing_balance(float(root)),
+    root, res = brentq(slope, lo, hi, xtol=1e-14, full_output=True)
+    return SolveReport(solution=float(root), residual=slope(float(root)),
                        iterations=res.iterations, bracket=(float(lo), float(hi)),
                        feasible=True)
 

@@ -11,7 +11,10 @@ recurrence
 
     psi_n(x) = x sqrt(2/n) psi_{n-1}(x) - sqrt((n-1)/n) psi_{n-2}(x),
 
-seeded by psi_0(x) = pi^{-1/4} exp(-x^2/2).
+seeded by psi_0(x) = pi^{-1/4} exp(-x^2/2).  That seed underflows to 0
+for |x| > ~38.6, and every psi_n there is then 0.  Only the quadrature
+oracle of :mod:`quadherald.oracles` evaluates psi_n this way; q_n and
+p_n come from a generating function instead.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ __all__ = [
     "erfc",
     "oscillator_eigenfunctions",
     "fock_quadrature_pdf",
-    "gaussian_tail_two_sided",
 ]
 
 
@@ -94,11 +96,3 @@ def fock_quadrature_pdf(n: int, x):
     out = psi_n * psi_n
     return float(out) if np.isscalar(x) else out
 
-
-def gaussian_tail_two_sided(variance: float, x0: float) -> float:
-    """P(|X| > x0) for X ~ N(0, variance)."""
-    if not (np.isfinite(variance) and variance > 0.0):
-        raise ValueError(f"variance must be positive and finite, got {variance!r}")
-    if not (np.isfinite(x0) and x0 >= 0.0):
-        raise ValueError(f"x0 must be nonnegative and finite, got {x0!r}")
-    return float(_sp.erfc(x0 / math.sqrt(2.0 * variance)))

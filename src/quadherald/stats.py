@@ -10,9 +10,10 @@ basis with weights
 
 where q_n is the probability that the idler quadrature of the n-photon
 component falls in the acceptance region and C is the overall acceptance
-probability.  Everything in this module is closed-form, a stable
-recurrence or a discrete Fourier transform of a closed form; independent
-integral and Monte Carlo checks live in :mod:`quadherald.oracles`.
+probability.  Everything in this module is closed-form or a discrete
+Fourier transform of a closed form, with one function per quantity that
+serves every detector; independent integral and Monte Carlo checks live
+in :mod:`quadherald.oracles`.
 
 Numerical notes
 ---------------
@@ -55,22 +56,19 @@ import numpy as np
 from scipy import special as _sp
 
 from .errors import NonConvergenceError, UndefinedQError
-from .special import erfc, oscillator_eigenfunctions
+from .special import erfc
 
 __all__ = [
     "Squeezing",
     "AcceptanceWindow",
     "DetectorModel",
     "ConditionalStatistics",
-    "acceptance_probability",
     "acceptance_probability_imperfect",
-    "fock_acceptance_probabilities",
     "fock_acceptance_probabilities_imperfect",
     "photon_distribution",
     "mean_photon_number",
     "second_factorial_moment",
     "mandel_q",
-    "moment_via_generating_function",
     "mandel_q_slope_at_zero_squeezing",
 ]
 
@@ -192,10 +190,6 @@ class DetectorModel:
     def ideal(cls) -> "DetectorModel":
         return cls(eta=1.0, n_bar=0.0)
 
-    @property
-    def is_ideal(self) -> bool:
-        return self.eta == 1.0 and self.n_bar == 0.0
-
     def reduce_to_vacuum_auxiliary(self) -> tuple[float, float]:
         """Equivalent vacuum-auxiliary parameters ``(eta_eff, threshold_scale)``.
 
@@ -247,45 +241,16 @@ def idler_quadrature_variance(s: Squeezing, d: DetectorModel) -> float:
             + lam * (2.0 * eta * (1.0 + nb) - 1.0 - 2.0 * nb)) / (2.0 * (1.0 - lam))
 
 
-def acceptance_probability(s: Squeezing, w: AcceptanceWindow) -> float:
-    """Probability that an ideal detector heralds: P(|x| > x0).
-
-    Equals the two-sided tail of the idler's zero-mean Gaussian marginal
-    with variance (1 + lam) / (2 (1 - lam)).
-    """
-    x0 = w.require_threshold()
-    return erfc(x0 * math.sqrt((1.0 - s.lam) / (1.0 + s.lam)))
-
-
 def acceptance_probability_imperfect(s: Squeezing, w: AcceptanceWindow,
-                                     d: DetectorModel) -> float:
-    """Heralding probability with detector efficiency eta and thermal noise.
+                                     d: DetectorModel | None = None) -> float:
+    """Heralding probability C = P(|x| > x0), for every detector.
 
-    Reduces to :func:`acceptance_probability` for an ideal detector.
+    The measured idler quadrature is a zero-mean Gaussian; for an ideal
+    detector its variance is (1 + lam) / (2 (1 - lam)).
     """
     x0 = w.require_threshold()
-    variance = idler_quadrature_variance(s, d)
+    variance = idler_quadrature_variance(s, d or DetectorModel.ideal())
     return erfc(x0 / math.sqrt(2.0 * variance))
-
-
-def fock_acceptance_probabilities(n_max: int, x0: float) -> np.ndarray:
-    """q_0..q_{n_max}: acceptance probability of each Fock component, ideal.
-
-    Uses the stable recurrence q_n = q_{n-1} + sqrt(2/n) psi_{n-1}(x0)
-    psi_n(x0) from q_0 = erfc(x0); each q_n is a probability.
-    """
-    if not isinstance(n_max, (int, np.integer)) or n_max < 0:
-        raise ValueError(f"n_max must be a nonnegative integer, got {n_max!r}")
-    if not (np.isfinite(x0) and x0 >= 0.0):
-        raise ValueError(f"x0 must be nonnegative and finite, got {x0!r}")
-    q = np.empty(n_max + 1)
-    q[0] = erfc(x0)
-    if n_max >= 1:
-        psi = oscillator_eigenfunctions(x0, n_max)
-        n = np.arange(1, n_max + 1)
-        increments = np.sqrt(2.0 / n) * psi[:-1] * psi[1:]
-        q[1:] = q[0] + np.cumsum(increments)
-    return np.clip(q, 0.0, 1.0)  # guard against roundoff at the endpoints
 
 
 def _heralding_coefficients(n_max: int, x0: float, d: DetectorModel,
@@ -310,18 +275,22 @@ def _heralding_coefficients(n_max: int, x0: float, d: DetectorModel,
     return np.fft.hfft(ratio / u, m)[: n_max + 1] / scale
 
 
-def fock_acceptance_probabilities_imperfect(n_max: int, x0: float,
-                                            d: DetectorModel) -> np.ndarray:
+def fock_acceptance_probabilities_imperfect(
+        n_max: int, x0: float, d: DetectorModel | None = None) -> np.ndarray:
     """q_0..q_{n_max}: acceptance probability of each Fock component.
 
     Valid for every detector: the Taylor coefficients of C(t) / (1 - t)
     by one FFT on |t| = exp(-36 / M), M >= 9 (n_max + 1) (see the module
     docstring), accurate to a few 1e-15 absolute at n_max ~ 10^4.
+    Exactly one at x0 = 0.
     """
     if not isinstance(n_max, (int, np.integer)) or n_max < 0:
         raise ValueError(f"n_max must be a nonnegative integer, got {n_max!r}")
     if not (np.isfinite(x0) and x0 >= 0.0):
         raise ValueError(f"x0 must be nonnegative and finite, got {x0!r}")
+    if x0 == 0.0:                               # the FFT gives 1 - 3e-16
+        return np.ones(n_max + 1)
+    d = d or DetectorModel.ideal()
     m = 1 << (9 * n_max + 8).bit_length()      # least power of two >= 9 (N + 1)
     radius = math.exp(-36.0 / m)
     c_r = acceptance_probability_imperfect(Squeezing(radius),
@@ -439,50 +408,6 @@ def photon_distribution(s: Squeezing, w: AcceptanceWindow,
         second_factorial=second, mandel_q=(second - mean * mean) / mean,
         truncation_error_bound=bound,
         squeezing=s, window=w, detector=d)
-
-
-def moment_via_generating_function(k: int, s: Squeezing, w: AcceptanceWindow,
-                                   d: DetectorModel | None = None,
-                                   ordering: str = "raw",
-                                   h: float = 1e-4) -> float:
-    """Photon-number moment from lam-derivatives of C(lam)/(1 - lam).
-
-    The acceptance probability, as a function of lam, generates both the
-    raw moments (through (lam d/dlam)^k) and the normally ordered ones
-    (through lam^k d^k/dlam^k).  Derivatives are central finite
-    differences with one Richardson extrapolation; this is a cross-check
-    of the closed forms, not a production path.
-    """
-    if k not in (0, 1, 2):
-        raise ValueError(f"k must be 0, 1 or 2, got {k!r}")
-    if ordering not in ("raw", "normal"):
-        raise ValueError(f"ordering must be 'raw' or 'normal', got {ordering!r}")
-    if k == 0:
-        return 1.0
-    d = d or DetectorModel.ideal()
-    w.require_threshold()
-    lam = s.lam
-    if not (lam - h >= 0.0 and lam + h < 1.0):
-        raise ValueError(
-            f"lam = {lam} is too close to the boundary for the stencil h = {h}")
-
-    def f(arg: float) -> float:
-        return acceptance_probability_imperfect(Squeezing(arg), w, d) / (1.0 - arg)
-
-    def d1(step: float) -> float:
-        return (f(lam + step) - f(lam - step)) / (2.0 * step)
-
-    def d2(step: float) -> float:
-        return (f(lam + step) - 2.0 * f(lam) + f(lam - step)) / (step * step)
-
-    fp = (4.0 * d1(h / 2) - d1(h)) / 3.0
-    c = acceptance_probability_imperfect(s, w, d)
-    if k == 1:
-        return (1.0 - lam) * lam * fp / c
-    fpp = (4.0 * d2(h / 2) - d2(h)) / 3.0
-    if ordering == "normal":
-        return (1.0 - lam) * lam * lam * fpp / c
-    return (1.0 - lam) * lam * (fp + lam * fpp) / c
 
 
 def mandel_q_slope_at_zero_squeezing(x0: float,

@@ -10,6 +10,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 from scipy import special as sp
+from scipy.integrate import quad
 
 
 def erf_series(x: float) -> float:
@@ -88,6 +89,96 @@ def psi_exact(n: int, x) -> float:
     return float(value)
 
 
+def gaussian_tail_two_sided(variance: float, x0: float) -> float:
+    """P(|X| > x0) for X ~ N(0, variance), on libm's erfc."""
+    return math.erfc(x0 / math.sqrt(2.0 * variance))
+
+
+def psi_table(n_max: int, x: float) -> np.ndarray:
+    """psi_0..psi_{n_max}(x) by the three-term recurrence, in plain floats.
+
+    Seeded by pi^(-1/4) exp(-x^2/2), which underflows to 0 for
+    |x| > ~38.6, and every psi_n with it.
+    """
+    psi = np.empty(n_max + 1)
+    psi[0] = math.pi ** -0.25 * math.exp(-0.5 * x * x)
+    if n_max >= 1:
+        psi[1] = math.sqrt(2.0) * x * psi[0]
+    for n in range(2, n_max + 1):
+        psi[n] = (x * math.sqrt(2.0 / n) * psi[n - 1]
+                  - math.sqrt((n - 1) / n) * psi[n - 2])
+    return psi
+
+
+def fock_acceptance_recurrence(n_max: int, x0: float) -> np.ndarray:
+    """q_0..q_{n_max} for an ideal detector by the psi_n recurrence.
+
+    q_n = q_{n-1} + sqrt(2/n) psi_{n-1}(x0) psi_n(x0) from q_0 = erfc(x0).
+    Every increment is 0 beyond x0 ~ 38.6, where psi_0 underflows.
+    """
+    psi = psi_table(n_max, x0)
+    increments = np.sqrt(2.0 / np.arange(1, n_max + 1)) * psi[:-1] * psi[1:]
+    q = math.erfc(x0) + np.concatenate(([0.0], np.cumsum(increments)))
+    return np.clip(q, 0.0, 1.0)
+
+
+def moment_via_generating_function(k: int, lam: float, x0: float,
+                                   eta: float = 1.0, n_bar: float = 0.0,
+                                   ordering: str = "raw",
+                                   h: float = 1e-4) -> float:
+    """Photon-number moment from lam-derivatives of C(lam) / (1 - lam).
+
+    C(lam) / (1 - lam) = sum_n lam^n q_n generates the raw moments
+    through (lam d/dlam)^k and the normally ordered ones through
+    lam^k d^k/dlam^k (k <= 2).  C is the two-sided tail of the measured
+    quadrature, whose variance is eta times the idler's
+    (1 + lam) / (2 (1 - lam)) plus (1 - eta) times the auxiliary mode's
+    (1 + 2 n_bar) / 2.  Central differences, one Richardson step.
+    """
+    if k == 0:
+        return 1.0
+
+    def f(t: float) -> float:
+        variance = (eta * (1.0 + t) / (1.0 - t)
+                    + (1.0 - eta) * (1.0 + 2.0 * n_bar)) / 2.0
+        return gaussian_tail_two_sided(variance, x0) / (1.0 - t)
+
+    def d1(step: float) -> float:
+        return (f(lam + step) - f(lam - step)) / (2.0 * step)
+
+    def d2(step: float) -> float:
+        return (f(lam + step) - 2.0 * f(lam) + f(lam - step)) / (step * step)
+
+    fp = (4.0 * d1(h / 2) - d1(h)) / 3.0
+    norm = 1.0 / f(lam)                    # (1 - lam) / C
+    if k == 1:
+        return norm * lam * fp
+    fpp = (4.0 * d2(h / 2) - d2(h)) / 3.0
+    if ordering == "normal":
+        return norm * lam * lam * fpp
+    return norm * lam * (fp + lam * fpp)
+
+
+def fock_smeared_quadrature_pdf(n: int, x: float, eta: float,
+                                n_bar: float = 0.0) -> float:
+    """Pdf of the measured quadrature given n photons (eta < 1).
+
+    The literal convolution of psi_n^2 with the detector's Gaussian
+    kernel, sqrt(eta) x' plus noise of variance (1 - eta)(1 + 2 n_bar)/2,
+    by adaptive quadrature over x'.
+    """
+    var = (1.0 - eta) * (1.0 + 2.0 * n_bar) / 2.0
+    b = math.sqrt(2.0 * n + 1.0) + 15.0
+
+    def integrand(xp: float) -> float:
+        psi_n = psi_table(n, xp)[n]
+        return psi_n * psi_n * math.exp(-(x - math.sqrt(eta) * xp) ** 2
+                                         / (2.0 * var))
+
+    val, _ = quad(integrand, -b, b, epsabs=1e-12, epsrel=1e-12, limit=400)
+    return val / math.sqrt(2.0 * math.pi * var)
+
+
 def fock_acceptance_binomial_mixture(n_max: int, x0: float, eta: float,
                                      n_bar: float = 0.0):
     """q_0..q_{n_max} for a lossy detector by the binomial-mixture recurrence.
@@ -104,13 +195,7 @@ def fock_acceptance_binomial_mixture(n_max: int, x0: float, eta: float,
     """
     scale = 1.0 + 2.0 * n_bar * (1.0 - eta)
     x0, eta = x0 / math.sqrt(scale), eta / scale
-    psi = np.empty(n_max + 1)
-    psi[0] = math.pi ** -0.25 * math.exp(-0.5 * x0 * x0)
-    if n_max >= 1:
-        psi[1] = math.sqrt(2.0) * x0 * psi[0]
-    for n in range(2, n_max + 1):
-        psi[n] = (x0 * math.sqrt(2.0 / n) * psi[n - 1]
-                  - math.sqrt((n - 1) / n) * psi[n - 2])
+    psi = psi_table(n_max, x0)
     q = np.empty(n_max + 1)
     q[0] = math.erfc(x0)
     j = np.arange(n_max)

@@ -36,7 +36,8 @@ class TestStats:
         record = json.loads(out)
         s, w = qh.Squeezing(0.25), qh.AcceptanceWindow.threshold(2.0)
         assert record["mandel_q"] == qh.mandel_q(s, w)
-        assert record["acceptance_probability"] == qh.acceptance_probability(s, w)
+        assert record["acceptance_probability"] == \
+            qh.acceptance_probability_imperfect(s, w)
         assert record["mean_n"] == qh.mean_photon_number(s, w)
         assert record["mandel_q"] == pytest.approx(-0.216, abs=1e-3)
 
@@ -98,7 +99,7 @@ class TestSweep:
         _, _, rows = parse_csv(out)
         assert len(rows) == 1
         s, w = qh.Squeezing(0.25), qh.AcceptanceWindow.threshold(2.0)
-        assert float(rows[0]["C"]) == qh.acceptance_probability(s, w)
+        assert float(rows[0]["C"]) == qh.acceptance_probability_imperfect(s, w)
         assert float(rows[0]["Q"]) == qh.mandel_q(s, w)
         assert float(rows[0]["mean"]) == qh.mean_photon_number(s, w)
 

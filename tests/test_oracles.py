@@ -7,6 +7,8 @@ from scipy.integrate import quad
 from scipy.stats import chisquare, kstest
 
 import quadherald as qh
+from _oracles import (fock_acceptance_recurrence, fock_smeared_quadrature_pdf,
+                      gaussian_tail_two_sided)
 from quadherald import oracles
 from quadherald.oracles import _log_mehler, _quadratures, _sample_orders, \
     _shot_uniforms
@@ -31,7 +33,7 @@ class TestQuadratureOracle:
 
     @pytest.mark.parametrize("x0", [0.0, 0.5, 1.0, 2.0])
     def test_ideal_matches_recurrence(self, x0):
-        q = qh.fock_acceptance_probabilities(12, x0)
+        q = fock_acceptance_recurrence(12, x0)
         for n in range(13):
             direct = qh.fock_acceptance_probability_quadrature(n, thr(x0))
             assert abs(direct - q[n]) <= 1e-9
@@ -57,14 +59,13 @@ class TestQuadratureOracle:
         n = 4
         # semi-analytic reference from threshold-form tails:
         # F(x) = 1 - q(|x|)/2 for x >= 0 and q(|x|)/2 for x < 0
-        q_at = lambda x: qh.fock_acceptance_probabilities(n, x)[n]
+        q_at = lambda x: qh.fock_acceptance_probabilities_imperfect(n, x)[n]
         expected = ((1.0 - q_at(0.5) / 2.0) - q_at(1.0) / 2.0) + q_at(2.0) / 2.0
         direct = qh.fock_acceptance_probability_quadrature(n, w)
         assert direct == pytest.approx(expected, abs=1e-9)
 
     def test_smeared_pdf_normalizes(self):
-        d = qh.DetectorModel(eta=0.8, n_bar=0.3)
-        total, _ = quad(lambda x: qh.fock_smeared_quadrature_pdf(2, x, d),
+        total, _ = quad(lambda x: fock_smeared_quadrature_pdf(2, x, 0.8, 0.3),
                         -20, 20, limit=200)
         assert total == pytest.approx(1.0, abs=1e-8)
 
@@ -75,7 +76,7 @@ class TestQuadratureOracle:
         # form; the literal nested double integral must agree
         d = qh.DetectorModel(eta=eta, n_bar=nbar)
         b = math.sqrt(2 * n + 1) + 15.0
-        tail, _ = quad(lambda x: qh.fock_smeared_quadrature_pdf(n, x, d),
+        tail, _ = quad(lambda x: fock_smeared_quadrature_pdf(n, x, eta, nbar),
                        x0, b, limit=200, epsabs=1e-10)
         nested = 2.0 * tail
         swapped = qh.fock_acceptance_probability_quadrature(n, thr(x0), d)
@@ -184,8 +185,8 @@ class TestMonteCarlo:
                                         shots=100_000, seed=9)
         # one-sided window: P(0.5 < x < 1.5) for the Gaussian marginal
         var = idler_quadrature_variance(qh.Squeezing(0.2), IDEAL)
-        expected = 0.5 * (qh.gaussian_tail_two_sided(var, 0.5)
-                          - qh.gaussian_tail_two_sided(var, 1.5))
+        expected = 0.5 * (gaussian_tail_two_sided(var, 0.5)
+                          - gaussian_tail_two_sided(var, 1.5))
         assert abs(res.empirical_c - expected) <= \
             4 * math.sqrt(expected * (1 - expected) / res.shots)
 
@@ -230,7 +231,7 @@ class TestMonteCarlo:
         s, w = qh.Squeezing(0.999), thr(2.0)
         res = qh.monte_carlo_experiment(s, w, shots=30_000, seed=1)
         se = res.standard_errors
-        assert abs(res.empirical_c - qh.acceptance_probability(s, w)) \
+        assert abs(res.empirical_c - qh.acceptance_probability_imperfect(s, w)) \
             <= 5 * se["C"]
         assert abs(res.empirical_mean - qh.mean_photon_number(s, w)) \
             <= 5 * se["mean"]

@@ -96,24 +96,3 @@ class TestWigner:
         with pytest.raises(ValueError):
             qh.wigner([1.0], -1.0)
 
-
-class TestRadialGrid:
-    def test_profiles(self):
-        stats = conditional(0.25, 2.0)
-        radii = np.linspace(0.0, 4.0, 41)
-        hus = qh.husimi_radial_profile(stats.p, radii)
-        wig = qh.wigner_radial_profile(stats.p, radii)
-        assert isinstance(hus, qh.RadialGrid) and isinstance(wig, qh.RadialGrid)
-        assert np.array_equal(hus.radii, radii)
-        assert hus.values == pytest.approx(qh.husimi(stats.p, radii))
-        assert wig.values == pytest.approx(qh.wigner(stats.p, radii))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            qh.RadialGrid(radii=np.array([0.5, 1.0]), values=np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            qh.RadialGrid(radii=np.array([0.0, 1.0, 1.0]),
-                          values=np.array([1.0, 2.0, 3.0]))
-        with pytest.raises(ValueError):
-            qh.RadialGrid(radii=np.array([0.0, 1.0]),
-                          values=np.array([1.0, math.nan]))

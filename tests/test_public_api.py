@@ -1,0 +1,34 @@
+"""The package's public surface and the README example that documents it."""
+
+import pathlib
+import re
+
+import quadherald as qh
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+PUBLIC_NAMES = [
+    "AcceptanceWindow", "ConditionalStatistics", "DetectorModel",
+    "MonteCarloResult", "NonConvergenceError", "SolveReport", "Squeezing",
+    "UndefinedQError", "__version__", "acceptance_probability_imperfect",
+    "efficiency_threshold", "erf", "erfc",
+    "fock_acceptance_probabilities_imperfect",
+    "fock_acceptance_probability_quadrature", "fock_quadrature_pdf",
+    "husimi", "mandel_q", "mandel_q_slope_at_zero_squeezing",
+    "mean_photon_number", "minimum_poissonian_threshold",
+    "monte_carlo_experiment", "optimal_squeezing_for_mandel_q",
+    "oscillator_eigenfunctions", "photon_distribution",
+    "second_factorial_moment", "solve_threshold_for_mandel_q", "wigner",
+]
+
+
+def test_public_names():
+    # a name added to or dropped from __all__ must be a deliberate edit here
+    assert sorted(qh.__all__) == PUBLIC_NAMES
+    assert all(hasattr(qh, name) for name in qh.__all__)
+
+
+def test_readme_library_block_runs():
+    section = README.read_text(encoding="utf-8").split("## Library", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(compile(block, "README.md (Library)", "exec"), {})
