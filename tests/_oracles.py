@@ -228,3 +228,22 @@ def heralded_distribution_mp(lam: float, x0: float, n_max: int, dps: int = 40):
         c = mp.erfc(x * mp.sqrt((1 - lam_mp) / (1 + lam_mp)))
         p = [(1 - lam_mp) * lam_mp ** n * q[n] / c for n in range(n_max + 1)]
         return (np.array([float(v) for v in p]), np.array([float(v) for v in q]))
+
+
+def fock_wigner_mp(n: int, r: float, dps: int = 60) -> float:
+    """Wigner function (-1)^n e^{-r^2} L_n(2 r^2) / pi of |n> in mpmath.
+
+    The Laguerre polynomial comes from mpmath's hypergeometric series,
+    not from a recurrence.
+    """
+    with mp.workdps(dps):
+        z = 2 * mp.mpf(r) ** 2
+        return float((-1) ** n * mp.exp(-z / 2) * mp.laguerre(n, 0, z) / mp.pi)
+
+
+def oscillator_eigenfunction_mp(n: int, x: float, dps: int = 50) -> float:
+    """psi_n(x) = H_n(x) e^{-x^2/2} / sqrt(2^n n! sqrt(pi)) in mpmath."""
+    with mp.workdps(dps):
+        x = mp.mpf(x)
+        norm = mp.sqrt(mp.mpf(2) ** n * mp.factorial(n) * mp.sqrt(mp.pi))
+        return float(mp.hermite(n, x) * mp.exp(-x * x / 2) / norm)

@@ -82,6 +82,13 @@ class TestQuadratureOracle:
         swapped = qh.fock_acceptance_probability_quadrature(n, thr(x0), d)
         assert nested == pytest.approx(swapped, abs=1e-8)
 
+    def test_where_the_psi_seed_underflows(self):
+        # psi_0(x) underflows for |x| > 38.6, so the whole window is there
+        direct = qh.fock_acceptance_probability_quadrature(850, thr(40.0))
+        q = qh.fock_acceptance_probabilities_imperfect(850, 40.0)
+        assert direct == pytest.approx(q[850], abs=1e-12)
+        assert direct > 0.15
+
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
             qh.fock_acceptance_probability_quadrature(-1, thr(1.0))

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, simpson
 from scipy.special import eval_laguerre
 
 import quadherald as qh
+from _oracles import fock_wigner_mp
 
 
 def conditional(lam, x0, eta=1.0):
@@ -96,3 +97,66 @@ class TestWigner:
         with pytest.raises(ValueError):
             qh.wigner([1.0], -1.0)
 
+
+class TestWignerAccuracy:
+    """Where a plain three-term recurrence fails: e^{-r^2} leaves the double
+    range at r ~ 26.6, and for n >> 2 r^2 its rounding errors grow with n."""
+
+    @pytest.mark.parametrize("lam,x0,eta", [(0.99, 2.0, 0.8), (0.995, 33.0, 0.6)])
+    def test_normalization_of_strongly_squeezed_states(self, lam, x0, eta):
+        p = conditional(lam, x0, eta).p
+        r = np.linspace(0.0, math.sqrt(len(p)) + 10.0, 4001)
+        total = simpson(2.0 * math.pi * r * qh.wigner(p, r), x=r)
+        assert total == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("x0", [2.0, 33.0])
+    def test_positivity_of_strongly_squeezed_states(self, x0):
+        # heralded states are mixtures of Gaussian states, so W >= 0
+        p = conditional(0.995, x0).p
+        vals = qh.wigner(p, np.linspace(0.0, math.sqrt(len(p)) + 3.0, 1500))
+        assert vals.min() >= -1e-12
+
+    @pytest.mark.parametrize("n,r", [(500, 30.0), (3000, 60.0), (6000, 80.0),
+                                     (20000, 150.0), (20000, 30.0), (6000, 0.01),
+                                     (20000, 3.3), (20000, 0.18)])
+    def test_fock_state_matches_extended_precision(self, n, r):
+        p = np.zeros(n + 1)
+        p[n] = 1.0
+        assert qh.wigner(p, r) == pytest.approx(fock_wigner_mp(n, r), abs=1e-14)
+
+    def test_far_radii_give_zero(self):
+        p = conditional(0.9, 2.0).p
+        assert np.array_equal(qh.wigner(p, np.array([200.0, 1e5, 1e200])),
+                              np.zeros(3))
+
+
+class TestWignerIndependentOfOtherRadii:
+    RADII = np.array([0.0, 0.3, 61.0, 0.9, 75.0, 5.0, 83.0, 120.0, 0.5,
+                      64.2, 1e3, 26.7, 27.5])
+
+    def assert_each_radius_alone(self, p, r):
+        together = qh.wigner(p, r)
+        for i, ri in enumerate(r):
+            assert qh.wigner(p, r[i:i + 1])[0] == together[i]
+            assert qh.wigner(p, float(ri)) == together[i]
+
+    @pytest.mark.parametrize("lam,x0", [(0.995, 33.0), (0.99, 2.0), (0.4, 1.5)])
+    def test_heralded_states(self, lam, x0):
+        p = conditional(lam, x0).p
+        self.assert_each_radius_alone(p, self.RADII)
+        order = np.random.default_rng(7).permutation(len(self.RADII))
+        assert np.array_equal(qh.wigner(p, self.RADII[order]),
+                              qh.wigner(p, self.RADII)[order])
+
+    @pytest.mark.parametrize("p", [[1.0], [0.3, 0.7], [0.2, 0.3, 0.5]])
+    def test_few_orders(self, p):
+        r = np.array([0.0, 0.7, 2.0, 61.0])
+        self.assert_each_radius_alone(p, r)
+        expected = [sum(p_n * (-1.0) ** n * math.exp(-x * x)
+                        * eval_laguerre(n, 2.0 * x * x) for n, p_n in enumerate(p))
+                    / math.pi for x in r]
+        assert qh.wigner(p, r) == pytest.approx(expected, abs=1e-15)
+
+    def test_scalar_radius_gives_float(self):
+        assert isinstance(qh.wigner([0.5, 0.5], 0.0), float)
+        assert qh.wigner([0.5, 0.5], 0.0) == pytest.approx(0.0, abs=1e-17)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import quadherald as qh
-from _oracles import erf_oracle, gaussian_tail_two_sided, psi_exact
+from _oracles import (erf_oracle, gaussian_tail_two_sided,
+                      oscillator_eigenfunction_mp, psi_exact)
 
 
 class TestErf:
@@ -101,6 +102,19 @@ class TestOscillatorEigenfunctions:
         grid = np.linspace(-10.0, 10.0, 41)
         table = qh.oscillator_eigenfunctions(grid, 500)
         assert np.all(np.isfinite(table))
+
+    @pytest.mark.parametrize("n", [1100, 1200])
+    def test_beyond_the_seed_underflow(self, n):
+        # psi_0(45) = 1.4e-440 is below the double range; psi_n(45) is not
+        table = qh.oscillator_eigenfunctions(np.array([45.0, -45.0]), n)
+        expected = oscillator_eigenfunction_mp(n, 45.0)
+        assert table[n, 0] == pytest.approx(expected, abs=1e-13)
+        assert table[n, 1] == (-1) ** n * table[n, 0]
+        assert table[0, 0] == 0.0
+
+    def test_far_points_give_zero(self):
+        table = qh.oscillator_eigenfunctions(np.array([1e200, -3e5]), 40)
+        assert np.array_equal(table, np.zeros_like(table))
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
