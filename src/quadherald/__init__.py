@@ -12,7 +12,7 @@ Monte Carlo verification paths.
 __version__ = "0.1.0"
 
 from .errors import NonConvergenceError, UndefinedQError
-from .special import erf, erfc, fock_quadrature_pdf, oscillator_eigenfunctions
+from .special import oscillator_eigenfunctions
 from .stats import (AcceptanceWindow, ConditionalStatistics, DetectorModel,
                     Squeezing, acceptance_probability_imperfect,
                     fock_acceptance_probabilities_imperfect,
@@ -30,7 +30,7 @@ from .solvers import (SolveReport, efficiency_threshold,
 __all__ = [
     "__version__",
     "NonConvergenceError", "UndefinedQError",
-    "erf", "erfc", "oscillator_eigenfunctions", "fock_quadrature_pdf",
+    "oscillator_eigenfunctions",
     "Squeezing", "AcceptanceWindow", "DetectorModel", "ConditionalStatistics",
     "acceptance_probability_imperfect",
     "fock_acceptance_probabilities_imperfect",

@@ -23,8 +23,7 @@ from .solvers import (efficiency_threshold, minimum_poissonian_threshold,
                       solve_threshold_for_mandel_q)
 from .stats import (AcceptanceWindow, DetectorModel, Squeezing,
                     acceptance_probability_imperfect, mandel_q,
-                    mean_photon_number, photon_distribution,
-                    second_factorial_moment)
+                    mean_photon_number, photon_distribution)
 from .sweeps import (FigureJob, SweepSpec, build_figure, format_csv,
                      format_json, run_sweep, FIGURE_IDS)
 

@@ -29,7 +29,7 @@ from scipy import special as _sp
 from scipy.integrate import quad
 
 from .errors import NonConvergenceError
-from .special import fock_quadrature_pdf
+from .special import oscillator_eigenfunctions
 from .stats import AcceptanceWindow, DetectorModel, Squeezing
 
 __all__ = [
@@ -74,7 +74,7 @@ def fock_acceptance_probability_quadrature(n: int, w: AcceptanceWindow,
             clipped = _clip_interval(*pair, b)
             if clipped is None:
                 continue
-            val, err = quad(lambda x: fock_quadrature_pdf(n, x),
+            val, err = quad(lambda x: oscillator_eigenfunctions(x, n)[n] ** 2,
                             *clipped, epsabs=1e-13, epsrel=1e-13, limit=400)
             total += val
             err_total += err
@@ -102,7 +102,7 @@ def fock_acceptance_probability_quadrature(n: int, w: AcceptanceWindow,
                               - _sp.erf((lo - mu) / (math.sqrt(2.0) * sigma)))
         return acc
 
-    val, err = quad(lambda xp: fock_quadrature_pdf(n, xp) * window_mass(xp),
+    val, err = quad(lambda xp: oscillator_eigenfunctions(xp, n)[n] ** 2 * window_mass(xp),
                     -b, b, epsabs=1e-11, epsrel=1e-11, limit=400)
     if err > _SMEARED_ABS_TOL:
         raise NonConvergenceError(

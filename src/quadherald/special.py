@@ -1,4 +1,4 @@
-"""Numerically stable special functions used throughout the package.
+"""Normalized harmonic-oscillator eigenfunctions at any order.
 
 Hermite polynomials never appear in raw form here: every H_n expression is
 routed through the normalized harmonic-oscillator eigenfunctions
@@ -26,14 +26,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special as _sp
 
-__all__ = [
-    "erf",
-    "erfc",
-    "oscillator_eigenfunctions",
-    "fock_quadrature_pdf",
-]
+__all__ = ["oscillator_eigenfunctions"]
 
 
 _LOG2E = 1.0 / math.log(2.0)
@@ -65,28 +59,6 @@ def _exp_neg_scaled(h):
     return np.exp(-f), -k.astype(np.int64)
 
 
-def _check_finite(x, name: str) -> None:
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{name} must be finite, got {x!r}")
-
-
-def erf(x):
-    """Error function, accurate to better than 1e-14 absolute on finite reals.
-
-    Accepts a scalar or an ndarray; returns the same shape.
-    """
-    _check_finite(x, "x")
-    out = _sp.erf(x)
-    return float(out) if np.isscalar(x) else out
-
-
-def erfc(x):
-    """Complementary error function 1 - erf(x), without cancellation loss."""
-    _check_finite(x, "x")
-    out = _sp.erfc(x)
-    return float(out) if np.isscalar(x) else out
-
-
 def oscillator_eigenfunctions(x, n_max: int) -> np.ndarray:
     """Table of normalized oscillator eigenfunctions psi_0..psi_{n_max} at x.
 
@@ -105,7 +77,8 @@ def oscillator_eigenfunctions(x, n_max: int) -> np.ndarray:
     """
     if not isinstance(n_max, (int, np.integer)) or n_max < 0:
         raise ValueError(f"n_max must be a nonnegative integer, got {n_max!r}")
-    _check_finite(x, "x")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"x must be finite, got {x!r}")
     x = np.asarray(x, dtype=float)
     table = np.empty((n_max + 1,) + x.shape)
     # where |psi_0| (1 + sqrt(2)|x|)^n_max < 2^-1100 every entry is 0
@@ -127,17 +100,3 @@ def oscillator_eigenfunctions(x, n_max: int) -> np.ndarray:
         table[n] = cur
     table[done:] = np.ldexp(table[done:], e)
     return table
-
-
-def fock_quadrature_pdf(n: int, x):
-    """Quadrature distribution psi_n(x)^2 of the n-photon Fock state.
-
-    Phase-independent: the distribution of any rotated quadrature of |n>
-    is the same, so no phase argument is needed.
-    """
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    psi_n = oscillator_eigenfunctions(x, n)[n]
-    out = psi_n * psi_n
-    return float(out) if np.isscalar(x) else out
-

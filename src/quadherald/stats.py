@@ -56,7 +56,6 @@ import numpy as np
 from scipy import special as _sp
 
 from .errors import NonConvergenceError, UndefinedQError
-from .special import erfc
 
 __all__ = [
     "Squeezing",
@@ -183,8 +182,10 @@ class DetectorModel:
     def __post_init__(self):
         if not (np.isfinite(self.eta) and 0.0 < self.eta <= 1.0):
             raise ValueError(f"eta must lie in (0, 1], got {self.eta!r}")
-        if not (np.isfinite(self.n_bar) and self.n_bar >= 0.0):
-            raise ValueError(f"n_bar must be nonnegative, got {self.n_bar!r}")
+        # 2 n_bar finite keeps the idler variance, and so erfc's argument, finite
+        if not (0.0 <= 2.0 * self.n_bar < math.inf):
+            raise ValueError(
+                f"n_bar must be nonnegative with 2 n_bar finite, got {self.n_bar!r}")
 
     @classmethod
     def ideal(cls) -> "DetectorModel":
@@ -207,7 +208,6 @@ class ConditionalStatistics:
     """Truncated photon-number statistics of the heralded signal state."""
 
     p: np.ndarray
-    q: np.ndarray
     acceptance_probability: float
     mean_n: float
     second_factorial: float
@@ -219,17 +219,24 @@ class ConditionalStatistics:
 
     def __post_init__(self):
         self.p.setflags(write=False)
-        self.q.setflags(write=False)
 
     @property
     def n_max(self) -> int:
         return len(self.p) - 1
 
+    @property
+    def q(self) -> np.ndarray:
+        """q_0..q_{n_max}, the acceptance probability of each Fock component.
+
+        Not stored: each read calls :func:`fock_acceptance_probabilities_imperfect`,
+        whose FFT is larger than the one behind p.
+        """
+        return fock_acceptance_probabilities_imperfect(
+            self.n_max, self.window.x0, self.detector)
+
 
 def _reduced_params(x0: float, detector: DetectorModel) -> tuple[float, float]:
     """Map (x0, detector) to the equivalent vacuum-auxiliary (x0', eta')."""
-    if detector.n_bar == 0.0:
-        return x0, detector.eta
     eta_eff, scale = detector.reduce_to_vacuum_auxiliary()
     return x0 / scale, eta_eff
 
@@ -250,7 +257,7 @@ def acceptance_probability_imperfect(s: Squeezing, w: AcceptanceWindow,
     """
     x0 = w.require_threshold()
     variance = idler_quadrature_variance(s, d or DetectorModel.ideal())
-    return erfc(x0 / math.sqrt(2.0 * variance))
+    return float(_sp.erfc(x0 / math.sqrt(2.0 * variance)))
 
 
 def _heralding_coefficients(n_max: int, x0: float, d: DetectorModel,
@@ -299,12 +306,15 @@ def fock_acceptance_probabilities_imperfect(
     # q_n = C(r) r^-n [z^n] G(r z) / C(r), with the rounded r: scaling by
     # exp(36 n / M) instead would add an error growing like n eps
     q *= c_r * np.exp(-math.log(radius) * np.arange(n_max + 1))
-    q[0] = erfc(_reduced_params(x0, d)[0])
+    q[0] = _sp.erfc(_reduced_params(x0, d)[0])
     return np.clip(q, 0.0, 1.0)
 
 
-def _moments_closed_form(lam: float, x0: float, eta: float) -> tuple[float, float]:
-    """(<n>, <n(n-1)>) for vacuum-auxiliary parameters, erfcx-stable."""
+def _moments(s: Squeezing, w: AcceptanceWindow,
+             d: DetectorModel | None) -> tuple[float, float]:
+    """(<n>, <n(n-1)>) of the heralded state, erfcx-stable, for every detector."""
+    x0, eta = _reduced_params(w.require_threshold(), d or DetectorModel.ideal())
+    lam = s.lam
     u = 1.0 - lam
     v = 1.0 + (2.0 * eta - 1.0) * lam
     if lam == 0.0:
@@ -324,25 +334,19 @@ def _moments_closed_form(lam: float, x0: float, eta: float) -> tuple[float, floa
 def mean_photon_number(s: Squeezing, w: AcceptanceWindow,
                        d: DetectorModel | None = None) -> float:
     """Closed-form mean photon number of the heralded state."""
-    d = d or DetectorModel.ideal()
-    x0_eff, eta = _reduced_params(w.require_threshold(), d)
-    return _moments_closed_form(s.lam, x0_eff, eta)[0]
+    return _moments(s, w, d)[0]
 
 
 def second_factorial_moment(s: Squeezing, w: AcceptanceWindow,
                             d: DetectorModel | None = None) -> float:
     """Closed-form second factorial moment <n(n-1)> of the heralded state."""
-    d = d or DetectorModel.ideal()
-    x0_eff, eta = _reduced_params(w.require_threshold(), d)
-    return _moments_closed_form(s.lam, x0_eff, eta)[1]
+    return _moments(s, w, d)[1]
 
 
 def mandel_q(s: Squeezing, w: AcceptanceWindow,
              d: DetectorModel | None = None) -> float:
     """Mandel Q = (<n(n-1)> - <n>^2) / <n>; negative means sub-Poissonian."""
-    d = d or DetectorModel.ideal()
-    x0_eff, eta = _reduced_params(w.require_threshold(), d)
-    mean, second = _moments_closed_form(s.lam, x0_eff, eta)
+    mean, second = _moments(s, w, d)
     if mean == 0.0:
         raise UndefinedQError(
             "Mandel Q is undefined at lam = 0 (vacuum signal, zero mean)")
@@ -351,8 +355,7 @@ def mandel_q(s: Squeezing, w: AcceptanceWindow,
 
 def photon_distribution(s: Squeezing, w: AcceptanceWindow,
                         d: DetectorModel | None = None,
-                        tol: float = 1e-12,
-                        n_cap: int = DEFAULT_N_CAP) -> ConditionalStatistics:
+                        tol: float = 1e-12) -> ConditionalStatistics:
     """Truncated photon-number distribution of the heralded state.
 
     The truncation order N is the least n with lam^(n+1) / C <= tol,
@@ -362,7 +365,7 @@ def photon_distribution(s: Squeezing, w: AcceptanceWindow,
     Raises
     ------
     NonConvergenceError
-        If the required truncation order exceeds ``n_cap``, or if some
+        If the required truncation order exceeds ``DEFAULT_N_CAP``, or if some
         p_n < -8 eps or |1 - sum(p)| exceeds the tail bound + 8 eps (N + 1).
     """
     if not (0.0 < tol <= 1e-3):
@@ -377,20 +380,18 @@ def photon_distribution(s: Squeezing, w: AcceptanceWindow,
             f"x0 = {x0}; the conditional distribution is not representable")
 
     if lam == 0.0:
-        q = fock_acceptance_probabilities_imperfect(0, x0, d)
         return ConditionalStatistics(
-            p=np.array([1.0]), q=q, acceptance_probability=acceptance,
+            p=np.array([1.0]), acceptance_probability=acceptance,
             mean_n=0.0, second_factorial=0.0, mandel_q=math.nan,
             truncation_error_bound=0.0, squeezing=s, window=w, detector=d)
 
     log_c = math.log(acceptance)          # tol * C may underflow
     n_max = max(0, math.ceil((math.log(tol) + log_c) / math.log(lam)) - 1)
-    if n_max > n_cap:
+    if n_max > DEFAULT_N_CAP:
         raise NonConvergenceError(
-            f"photon distribution needs N_max = {n_max} > cap {n_cap} "
+            f"photon distribution needs N_max = {n_max} > cap {DEFAULT_N_CAP} "
             f"(lam = {lam}, tol = {tol})")
 
-    q = fock_acceptance_probabilities_imperfect(n_max, x0, d)
     # aliasing adds at most lam^M / C to a p_n: keep it below eps at any tol
     m_min = max(2 * (n_max + 1), (math.log(_EPS) + log_c) / math.log(lam))
     m = 1 << (math.ceil(m_min) - 1).bit_length()
@@ -402,9 +403,9 @@ def photon_distribution(s: Squeezing, w: AcceptanceWindow,
             f"p_n check failed at lam = {lam}, x0 = {x0}: min p_n = {p.min():.3e}, "
             f"|1 - sum(p)| = {residual:.3e}, tail bound {bound:.3e}")
     p = np.clip(p, 0.0, 1.0)
-    mean, second = _moments_closed_form(lam, *_reduced_params(x0, d))
+    mean, second = _moments(s, w, d)
     return ConditionalStatistics(
-        p=p, q=q, acceptance_probability=acceptance, mean_n=mean,
+        p=p, acceptance_probability=acceptance, mean_n=mean,
         second_factorial=second, mandel_q=(second - mean * mean) / mean,
         truncation_error_bound=bound,
         squeezing=s, window=w, detector=d)

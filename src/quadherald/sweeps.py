@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,16 @@ VALID_QUANTITIES = ("C", "mean", "second_factorial", "Q", "p_n", "husimi", "wign
 FIGURE_IDS = ("fig2", "fig3", "fig4", "fig5", "fig6")
 
 
+def _numbers(name: str, values) -> tuple[float, ...]:
+    """A spec list as floats; a scalar, a string or a nested list is a usage error."""
+    if not isinstance(values, str):         # "12" would read as [1.0, 2.0]
+        try:
+            return tuple(float(v) for v in values)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be a list of numbers, got {values!r}")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Grids, quantities and output options for a parameter sweep."""
@@ -47,9 +58,8 @@ class SweepSpec:
     radii: tuple[float, ...] = (0.0,)
 
     def __post_init__(self):
-        for name, grid in (("lam", self.lam), ("x0", self.x0),
-                           ("eta", self.eta), ("nbar", self.nbar)):
-            object.__setattr__(self, name, tuple(float(v) for v in grid))
+        for name in ("lam", "x0", "eta", "nbar"):
+            object.__setattr__(self, name, _numbers(name, getattr(self, name)))
             if len(getattr(self, name)) == 0:
                 raise ValueError(f"grid {name} must be nonempty")
         if any(not (0.0 <= v < 1.0) for v in self.lam):
@@ -60,25 +70,35 @@ class SweepSpec:
             raise ValueError("all eta grid values must lie in (0, 1]")
         if any(v < 0.0 for v in self.nbar):
             raise ValueError("all nbar grid values must be nonnegative")
+        if not (isinstance(self.quantities, (list, tuple))
+                and all(isinstance(q, str) for q in self.quantities)):
+            raise ValueError(
+                f"quantities must be a list of names, got {self.quantities!r}")
         object.__setattr__(self, "quantities", tuple(self.quantities))
         unknown = set(self.quantities) - set(VALID_QUANTITIES)
         if unknown:
             raise ValueError(f"unknown quantities {sorted(unknown)}; "
                              f"valid: {VALID_QUANTITIES}")
-        if not (0.0 < self.tol <= 1e-3):
+        if len(set(self.quantities)) < len(self.quantities):   # duplicate columns
+            raise ValueError(f"quantities repeat a name: {list(self.quantities)}")
+        if not (isinstance(self.tol, numbers.Real) and 0.0 < self.tol <= 1e-3):
             raise ValueError(f"tol must lie in (0, 1e-3], got {self.tol!r}")
-        if self.pn_max < 0:
-            raise ValueError("pn_max must be nonnegative")
-        object.__setattr__(self, "radii", tuple(float(r) for r in self.radii))
+        if not isinstance(self.pn_max, (int, np.integer)) or self.pn_max < 0:
+            raise ValueError(f"pn_max must be a nonnegative integer, got {self.pn_max!r}")
+        object.__setattr__(self, "radii", _numbers("radii", self.radii))
         if any(r < 0.0 for r in self.radii):
             raise ValueError("radii must be nonnegative")
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise ValueError(f"a sweep spec must be a JSON object, got {data!r}")
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown sweep spec keys {sorted(unknown)}")
+        missing = {"lam", "x0"} - set(data)
+        if missing:
+            raise ValueError(f"sweep spec lacks keys {sorted(missing)}")
         return cls(**data)
 
     @classmethod

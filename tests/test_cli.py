@@ -177,6 +177,26 @@ class TestSweep:
         assert run(capsys, "sweep", "--lambda", "0.2", "--x0", "1",
                    "--quantities", "bogus")[0] == 2
 
+    @pytest.mark.parametrize("spec", [
+        {"lam": 0.25, "x0": [1.0]},
+        {"lam": [0.25], "x0": [1.0], "quantities": ["p_n"], "pn_max": 2.5},
+        {"lam": [0.25], "x0": [1.0], "tol": "1e-9"},
+        {"lam": [0.25], "x0": [1.0], "quantities": ["husimi"], "radii": 3},
+        {"lam": [0.25], "x0": [[1.0]]},
+        {"lam": [0.25], "x0": "12"},
+        {"lam": [0.25], "x0": [None]},
+        {"lam": [0.25], "x0": [1.0], "quantities": 3},
+        {"lam": [0.25], "x0": [1.0], "quantities": ["C", "C"]},
+        {"lam": [0.25]},
+        [0.25, 1.0],
+        3,
+    ])
+    def test_malformed_spec_file_exits_2(self, spec, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, _, err = run(capsys, "sweep", "--spec", str(path))
+        assert code == 2 and err.startswith("error: ")
+
 
 class TestFigure:
     @pytest.mark.parametrize("fig", ["fig2", "fig3", "fig4", "fig5", "fig6"])

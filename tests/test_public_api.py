@@ -2,8 +2,10 @@
 
 import pathlib
 import re
+import shlex
 
 import quadherald as qh
+from quadherald.cli import main
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -11,9 +13,8 @@ PUBLIC_NAMES = [
     "AcceptanceWindow", "ConditionalStatistics", "DetectorModel",
     "MonteCarloResult", "NonConvergenceError", "SolveReport", "Squeezing",
     "UndefinedQError", "__version__", "acceptance_probability_imperfect",
-    "efficiency_threshold", "erf", "erfc",
-    "fock_acceptance_probabilities_imperfect",
-    "fock_acceptance_probability_quadrature", "fock_quadrature_pdf",
+    "efficiency_threshold", "fock_acceptance_probabilities_imperfect",
+    "fock_acceptance_probability_quadrature",
     "husimi", "mandel_q", "mandel_q_slope_at_zero_squeezing",
     "mean_photon_number", "minimum_poissonian_threshold",
     "monte_carlo_experiment", "optimal_squeezing_for_mandel_q",
@@ -32,3 +33,15 @@ def test_readme_library_block_runs():
     section = README.read_text(encoding="utf-8").split("## Library", 1)[1]
     block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     exec(compile(block, "README.md (Library)", "exec"), {})
+
+
+def test_readme_command_line_block_runs(tmp_path, monkeypatch, capsys):
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = re.search(r"```bash\n(.*?)```", section, re.DOTALL).group(1)
+    spec = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
+    (tmp_path / "sweep.json").write_text(spec, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    commands = [line for line in block.splitlines() if line.startswith("quadherald ")]
+    assert commands
+    for line in commands:
+        assert main(shlex.split(line, comments=True)[1:]) == 0, line

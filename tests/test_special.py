@@ -12,44 +12,60 @@ from _oracles import (erf_oracle, gaussian_tail_two_sided,
                       oscillator_eigenfunction_mp, psi_exact)
 
 
+def thr(x0):
+    return qh.AcceptanceWindow.threshold(x0)
+
+
+def package_erfc(x):
+    # the package's one erfc path: the heralding probability of an ideal
+    # detector at lam = 0 is erfc(x0 / sqrt(2 * 1/2)) = erfc(x0)
+    return qh.acceptance_probability_imperfect(qh.Squeezing(0.0), thr(x))
+
+
 class TestErf:
+    """erfc as the package evaluates it, at the nonnegative arguments it uses."""
+
     def test_zero(self):
-        assert qh.erf(0.0) == 0.0
+        assert package_erfc(0.0) == 1.0
 
     def test_frozen_oracle_values(self):
-        # computed with the series / continued-fraction oracle
-        assert qh.erf(0.4248) == pytest.approx(0.45199876566328057, abs=1e-14)
-        assert qh.erf(2.0) == pytest.approx(0.9953222650189527, abs=1e-14)
+        # erf values computed with the series / continued-fraction oracle
+        assert 1.0 - package_erfc(0.4248) == pytest.approx(0.45199876566328057,
+                                                           abs=1e-14)
+        assert 1.0 - package_erfc(2.0) == pytest.approx(0.9953222650189527, abs=1e-14)
 
     def test_grid_agreement_with_independent_oracle(self):
-        grid = np.linspace(-6.0, 6.0, 1000)
-        worst = max(abs(qh.erf(float(x)) - erf_oracle(float(x))) for x in grid)
+        grid = np.linspace(0.0, 6.0, 1000)
+        worst = max(abs(package_erfc(float(x)) - (1.0 - erf_oracle(float(x))))
+                    for x in grid)
         assert worst <= 1e-13
 
     def test_vectorized_matches_scalar(self):
-        xs = np.array([-3.0, -0.5, 0.0, 1.25, 4.0])
-        assert np.allclose(qh.erf(xs), [qh.erf(float(x)) for x in xs],
-                           rtol=0, atol=0)
-
-    @given(st.floats(-6.0, 6.0))
-    def test_odd(self, x):
-        assert qh.erf(-x) == pytest.approx(-qh.erf(x), abs=5e-16)
+        # q_0 of the q_n table is erfc(x0') too, bit for bit, for every detector
+        for d in (qh.DetectorModel(), qh.DetectorModel(eta=0.7, n_bar=0.4)):
+            for x0 in (0.3, 1.25, 4.0, 30.0):
+                q = qh.fock_acceptance_probabilities_imperfect(3, x0, d)
+                assert q[0] == qh.acceptance_probability_imperfect(
+                    qh.Squeezing(0.0), thr(x0), d)
 
     def test_strictly_increasing_and_bounded(self):
-        grid = np.linspace(-5.5, 5.5, 2000)
-        vals = qh.erf(grid)
-        assert np.all(np.diff(vals) > 0.0)
-        assert np.all(np.abs(vals) < 1.0)
+        vals = np.array([package_erfc(float(x)) for x in np.linspace(0.0, 5.5, 1000)])
+        assert np.all(np.diff(vals) < 0.0)            # erf = 1 - erfc increases
+        assert np.all((vals > 0.0) & (vals <= 1.0))
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            qh.erf(math.nan)
-        with pytest.raises(ValueError):
-            qh.erf(math.inf)
+        # erfc is never handed a non-finite argument: the types refuse it first
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                thr(bad)
+            with pytest.raises(ValueError):
+                qh.DetectorModel(eta=bad)
+            with pytest.raises(ValueError):
+                qh.DetectorModel(n_bar=bad)
 
     def test_erfc_complements(self):
-        for x in (-2.0, 0.0, 0.7, 3.0):
-            assert qh.erfc(x) == pytest.approx(1.0 - qh.erf(x), abs=1e-14)
+        for x in (0.0, 0.7, 3.0):
+            assert package_erfc(x) == pytest.approx(1.0 - math.erf(x), abs=1e-15)
 
 
 class TestOscillatorEigenfunctions:
@@ -123,28 +139,35 @@ class TestOscillatorEigenfunctions:
             qh.oscillator_eigenfunctions(math.nan, 3)
 
 
+def fock_quadrature_pdf(n, x):
+    # the integrand of the quadrature oracle's ideal-detector branch
+    return qh.oscillator_eigenfunctions(x, n)[n] ** 2
+
+
 class TestFockQuadraturePdf:
+    """psi_n(x)^2, the quadrature distribution the integral oracle integrates."""
+
     def test_ground_state_peak(self):
-        assert qh.fock_quadrature_pdf(0, 0.0) == pytest.approx(
+        assert fock_quadrature_pdf(0, 0.0) == pytest.approx(
             1.0 / math.sqrt(math.pi), abs=1e-15)
 
     def test_node_at_origin(self):
-        assert qh.fock_quadrature_pdf(1, 0.0) == 0.0
+        assert fock_quadrature_pdf(1, 0.0) == 0.0
 
     def test_frozen_value(self):
         # exact-arithmetic oracle value of psi_5(2)^2
-        assert qh.fock_quadrature_pdf(5, 2.0) == pytest.approx(
+        assert fock_quadrature_pdf(5, 2.0) == pytest.approx(
             0.00068889951180306846, rel=1e-12)
 
     @pytest.mark.parametrize("n", [5, 50])
     def test_normalization(self, n):
-        b = max(20.0, math.sqrt(2 * n + 1) + 15.0)
-        val, _ = quad(lambda x: qh.fock_quadrature_pdf(n, x), -b, b, limit=400)
+        # the oracle integrates psi_n^2 over |x| > 0, i.e. the whole line
+        val = qh.fock_acceptance_probability_quadrature(n, thr(0.0))
         assert val == pytest.approx(1.0, abs=1e-10)
 
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
-            qh.fock_quadrature_pdf(-2, 0.0)
+            qh.fock_acceptance_probability_quadrature(-2, thr(0.0))
 
 
 class TestGaussianTail:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erfc
 
 import quadherald as qh
 from _oracles import (fock_acceptance_binomial_mixture, fock_acceptance_recurrence,
@@ -62,7 +63,9 @@ class TestTypes:
             qh.AcceptanceWindow.from_intervals([(2.0, 1.0)])
 
     def test_detector_validation(self):
-        for eta, nbar in ((0.0, 0.0), (1.2, 0.0), (0.5, -1.0)):
+        # at n_bar = 1e308, 2 n_bar overflows and the idler variance is nan
+        for eta, nbar in ((0.0, 0.0), (1.2, 0.0), (0.5, -1.0), (1.0, 1e308),
+                          (0.5, math.inf), (0.5, math.nan)):
             with pytest.raises(ValueError):
                 qh.DetectorModel(eta=eta, n_bar=nbar)
 
@@ -119,8 +122,7 @@ class TestAcceptanceProbability:
         d = qh.DetectorModel(eta=0.5)
         for lam in np.linspace(0.0, 0.95, 20):
             c = qh.acceptance_probability_imperfect(qh.Squeezing(lam), thr(1.3), d)
-            assert c == pytest.approx(1.0 - qh.erf(1.3 * math.sqrt(1.0 - lam)),
-                                      abs=1e-12)
+            assert c == pytest.approx(erfc(1.3 * math.sqrt(1.0 - lam)), abs=1e-12)
 
     def test_imperfect_matches_variance_tail(self):
         s, d = qh.Squeezing(0.3), qh.DetectorModel(eta=0.8, n_bar=0.2)
@@ -160,7 +162,7 @@ class TestFockAcceptance:
     def test_bounds(self, n_max, x0):
         q = qh.fock_acceptance_probabilities_imperfect(n_max, x0)
         assert np.all(q >= 0.0) and np.all(q <= 1.0)
-        assert q[0] == pytest.approx(qh.erfc(x0), abs=1e-15)
+        assert q[0] == pytest.approx(erfc(x0), abs=1e-15)
 
     def test_imperfect_eta_one_equals_ideal(self):
         ideal = fock_acceptance_recurrence(30, 1.2)
@@ -170,7 +172,7 @@ class TestFockAcceptance:
     @given(st.floats(0.0, 4.0), st.floats(0.1, 0.999))
     def test_base_case_is_efficiency_independent(self, x0, eta):
         q = qh.fock_acceptance_probabilities_imperfect(5, x0, qh.DetectorModel(eta=eta))
-        assert q[0] == pytest.approx(qh.erfc(x0), abs=1e-15)
+        assert q[0] == pytest.approx(erfc(x0), abs=1e-15)
 
     @given(st.integers(0, 60), st.floats(0.0, 5.0), st.floats(0.1, 0.999))
     def test_imperfect_bounds(self, n_max, x0, eta):
@@ -248,6 +250,26 @@ class TestPhotonDistribution:
         tol = 4.0 * (tail_sq + 1.0) * stats.truncation_error_bound \
             + 2.0 * tail_sq / mean_t + 1e-12
         assert abs(stats.mandel_q - q_from_p) <= tol
+
+    def test_q_is_computed_only_when_read(self, monkeypatch, tmp_path, capsys):
+        from quadherald import cli
+
+        def refuse(*args):
+            raise AssertionError("q_n computed although nothing reads it")
+
+        monkeypatch.setattr(stats_module, "fock_acceptance_probabilities_imperfect",
+                            refuse)
+        d = qh.DetectorModel(eta=0.8, n_bar=0.1)
+        vacuum = qh.photon_distribution(qh.Squeezing(0.0), thr(1.5), d)
+        qh.photon_distribution(qh.Squeezing(0.3), thr(1.5), d)
+        for argv in (["stats", "--lambda", "0.3", "--x0", "1.5", "--pn"],
+                     ["sweep", "--lambda", "0,0.3", "--x0", "1.5", "--radii", "0,1",
+                      "--quantities", "p_n,husimi,wigner"],
+                     ["figure", "fig4", "--out", str(tmp_path / "fig4.csv")]):
+            assert cli.main(argv) == 0
+        monkeypatch.undo()
+        _, scale = d.reduce_to_vacuum_auxiliary()
+        assert np.array_equal(vacuum.q, [erfc(1.5 / scale)])
 
     def test_truncation_cap(self):
         with pytest.raises(qh.NonConvergenceError):
