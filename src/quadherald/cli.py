@@ -28,6 +28,7 @@ from .sweeps import (FigureJob, SweepSpec, build_figure, format_csv,
                      format_json, run_sweep, FIGURE_IDS)
 
 USAGE_ERROR, NONCONVERGENCE_ERROR = 2, 3
+_FIGURE_INPUTS = ("lam", "x0", "eta", "q")   # every figure takes a subset
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -65,9 +66,8 @@ def _emit_record(record: dict, fmt: str, out: str | None) -> None:
     if fmt == "json":
         _emit(json.dumps(_json_safe(record), indent=2) + "\n", out)
     else:
-        keys = list(record)
         meta = {"generator": f"quadherald {__version__}"}
-        _emit(format_csv(meta, keys, [record]), out)
+        _emit(format_csv(meta, list(record), [record]), out)
 
 
 def _detector(args) -> DetectorModel:
@@ -97,48 +97,32 @@ def _cmd_stats(args) -> int:
     return 0
 
 
+def _format(fmt: str, table: tuple) -> str:
+    return (format_json if fmt == "json" else format_csv)(*table)
+
+
+def _given(args, names) -> dict:
+    """The flags among ``names`` (by dest) that were set on the command line."""
+    return {name: getattr(args, name) for name in names
+            if getattr(args, name) is not None}
+
+
 def _cmd_sweep(args) -> int:
-    if args.spec is not None:
-        spec = SweepSpec.from_json_file(args.spec)
+    given = _given(args, SweepSpec.__dataclass_fields__)
+    if args.spec is None:
+        spec = SweepSpec.from_dict(given)
+    elif given:
+        raise ValueError(f"--spec excludes the flags that set {sorted(given)}")
     else:
-        if args.lam is None or args.x0 is None:
-            raise ValueError("sweep needs --spec or both --lambda and --x0")
-        kwargs = dict(lam=tuple(args.lam), x0=tuple(args.x0))
-        if args.eta is not None:
-            kwargs["eta"] = tuple(args.eta)
-        if args.nbar is not None:
-            kwargs["nbar"] = tuple(args.nbar)
-        if args.quantities is not None:
-            kwargs["quantities"] = tuple(args.quantities.split(","))
-        if args.tol is not None:
-            kwargs["tol"] = args.tol
-        if args.pn_max is not None:
-            kwargs["pn_max"] = args.pn_max
-        if args.radii is not None:
-            kwargs["radii"] = tuple(args.radii)
-        spec = SweepSpec(**kwargs)
-    meta, columns, rows = run_sweep(spec)
-    formatter = format_json if args.format == "json" else format_csv
-    _emit(formatter(meta, columns, rows), args.out)
+        spec = SweepSpec.from_json_file(args.spec)
+    _emit(_format(args.format, run_sweep(spec)), args.out)
     return 0
 
 
 def _cmd_figure(args) -> int:
-    overrides = {}
-    if args.lam is not None:
-        overrides["lam"] = args.lam
-    if args.x0 is not None:
-        overrides["x0"] = args.x0
-    if args.eta is not None:
-        overrides["eta"] = args.eta
-    if args.q is not None:
-        overrides["q"] = args.q
-    job = FigureJob(figure_id=args.figure_id, overrides=overrides)
-    meta, columns, rows = build_figure(job)
-    formatter = format_json if args.format == "json" else format_csv
-    suffix = "json" if args.format == "json" else "csv"
-    out = args.out if args.out is not None else f"{args.figure_id}.{suffix}"
-    _emit(formatter(meta, columns, rows), out)
+    job = FigureJob(args.figure_id, _given(args, _FIGURE_INPUTS))
+    out = args.out if args.out is not None else f"{args.figure_id}.{args.format}"
+    _emit(_format(args.format, build_figure(job)), out)
     return 0
 
 
@@ -206,6 +190,13 @@ def _add_detector_flags(parser: argparse.ArgumentParser) -> None:
                         help="auxiliary-mode thermal photons (default 0)")
 
 
+def _add_grid_flags(parser: argparse.ArgumentParser, names) -> None:
+    for name in names:
+        parser.add_argument("--lambda" if name == "lam" else f"--{name}", dest=name,
+                            type=_parse_grid, default=None,
+                            help="comma list or start:stop:count")
+
+
 def _add_output_flags(parser: argparse.ArgumentParser,
                       default_format: str = "json") -> None:
     parser.add_argument("--out", default=None,
@@ -234,25 +225,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="Cartesian parameter sweep")
     p.add_argument("--spec", default=None, help="JSON sweep spec file")
-    p.add_argument("--lambda", dest="lam", type=_parse_grid, default=None,
-                   help="comma list or start:stop:count")
-    p.add_argument("--x0", type=_parse_grid, default=None)
-    p.add_argument("--eta", type=_parse_grid, default=None)
-    p.add_argument("--nbar", type=_parse_grid, default=None)
-    p.add_argument("--quantities", default=None,
+    _add_grid_flags(p, ("lam", "x0", "eta", "nbar", "radii"))
+    p.add_argument("--quantities", type=lambda text: text.split(","), default=None,
                    help="comma subset of C,mean,second_factorial,Q,p_n,husimi,wigner")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--pn-max", dest="pn_max", type=int, default=None)
-    p.add_argument("--radii", type=_parse_grid, default=None)
     _add_output_flags(p, default_format="csv")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("figure", help="regenerate reference figure data")
     p.add_argument("figure_id", choices=FIGURE_IDS)
-    p.add_argument("--lambda", dest="lam", type=_parse_grid, default=None)
-    p.add_argument("--x0", type=_parse_grid, default=None)
-    p.add_argument("--eta", type=_parse_grid, default=None)
-    p.add_argument("--q", type=_parse_grid, default=None)
+    _add_grid_flags(p, _FIGURE_INPUTS)
     _add_output_flags(p, default_format="csv")
     p.set_defaults(func=_cmd_figure)
 

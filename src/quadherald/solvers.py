@@ -113,18 +113,25 @@ def minimum_poissonian_threshold() -> SolveReport:
                        feasible=True)
 
 
+def _contour_point(lam: float, q_target: float,
+                   d: DetectorModel) -> tuple[float, float] | None:
+    """(x0, C) where the Q = q_target contour crosses lam; None when unreachable."""
+    s = Squeezing(lam)
+    report = solve_threshold_for_mandel_q(s, q_target, d)
+    if not report.feasible:
+        return None
+    return report.solution, acceptance_probability_imperfect(
+        s, AcceptanceWindow.threshold(report.solution), d)
+
+
 def _contour_probability(lam: float, q_target: float, d: DetectorModel) -> float:
     """C(lam, x0*(lam)) along the Q = q_target contour; -inf when infeasible."""
-    report = solve_threshold_for_mandel_q(Squeezing(lam), q_target, d)
-    if not report.feasible:
-        return -math.inf
-    return acceptance_probability_imperfect(
-        Squeezing(lam), AcceptanceWindow.threshold(report.solution), d)
+    point = _contour_point(lam, q_target, d)
+    return -math.inf if point is None else point[1]
 
 
 def optimal_squeezing_for_mandel_q(q_target: float,
-                                   d: DetectorModel | None = None,
-                                   scan_points: int = _SCAN_POINTS) -> SolveReport:
+                                   d: DetectorModel | None = None) -> SolveReport:
     """Squeezing that maximizes the heralding probability at fixed Mandel Q.
 
     A coarse scan over lam checks feasibility and unimodality; a
@@ -136,9 +143,9 @@ def optimal_squeezing_for_mandel_q(q_target: float,
         raise ValueError(f"q_target must be >= -1, got {q_target!r}")
     d = d or DetectorModel.ideal()
 
-    lams = np.linspace(_LAM_LO, _LAM_HI, scan_points)
+    lams = np.linspace(_LAM_LO, _LAM_HI, _SCAN_POINTS)
     values = np.array([_contour_probability(lam, q_target, d) for lam in lams])
-    evals = scan_points
+    evals = _SCAN_POINTS
     if not np.any(np.isfinite(values)):
         return SolveReport(solution=math.nan, residual=math.nan,
                            iterations=evals, bracket=(_LAM_LO, _LAM_HI),
@@ -151,11 +158,11 @@ def optimal_squeezing_for_mandel_q(q_target: float,
 
     finite = np.isfinite(values)
     interior_max = 0
-    for i in range(1, scan_points - 1):
+    for i in range(1, _SCAN_POINTS - 1):
         if finite[i] and values[i] >= values[i - 1] and values[i] >= values[i + 1]:
             interior_max += 1
-    lo = float(lams[max(best - 1, 0)])
-    hi = float(lams[min(best + 1, scan_points - 1)])
+    bracket = (float(lams[best - 1]), float(lams[min(best + 1, _SCAN_POINTS - 1)]))
+    lo, hi = bracket
 
     if interior_max > 1:
         # scan shows more than one local maximum: refine on nested grids
@@ -189,9 +196,7 @@ def optimal_squeezing_for_mandel_q(q_target: float,
         lo, hi = a, b
 
     return SolveReport(solution=float(lam_star), residual=float(hi - lo),
-                       iterations=evals, bracket=(float(lams[max(best - 1, 0)]),
-                                                  float(lams[min(best + 1, scan_points - 1)])),
-                       feasible=True,
+                       iterations=evals, bracket=bracket, feasible=True,
                        value=_contour_probability(lam_star, q_target, d))
 
 

@@ -319,8 +319,6 @@ def _moments(s: Squeezing, w: AcceptanceWindow,
     v = 1.0 + (2.0 * eta - 1.0) * lam
     if lam == 0.0:
         return 0.0, 0.0
-    if x0 == 0.0:
-        return lam / u, 2.0 * lam * lam / (u * u)
     z = x0 * math.sqrt(u / v)
     # exp(-x0^2 u/v) / C == 1 / erfcx(z): no under/overflow for any x0
     common = 2.0 * eta * x0 / (_SQRT_PI * math.sqrt(u * v ** 3) * _sp.erfcx(z))

@@ -14,13 +14,14 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .errors import NonConvergenceError, UndefinedQError
 from .phase_space import husimi, wigner
-from .solvers import solve_threshold_for_mandel_q
+from .solvers import _contour_point
 from .stats import (AcceptanceWindow, DetectorModel, Squeezing,
                     acceptance_probability_imperfect, mandel_q,
                     mean_photon_number, photon_distribution,
@@ -30,8 +31,6 @@ __all__ = ["SweepSpec", "FigureJob", "run_sweep", "build_figure",
            "format_csv", "format_json", "FIGURE_IDS"]
 
 VALID_QUANTITIES = ("C", "mean", "second_factorial", "Q", "p_n", "husimi", "wigner")
-
-FIGURE_IDS = ("fig2", "fig3", "fig4", "fig5", "fig6")
 
 
 def _numbers(name: str, values) -> tuple[float, ...]:
@@ -107,19 +106,6 @@ class SweepSpec:
             return cls.from_dict(json.load(fh))
 
 
-@dataclass(frozen=True)
-class FigureJob:
-    """Request to regenerate the data behind one reference figure."""
-
-    figure_id: str
-    overrides: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.figure_id not in FIGURE_IDS:
-            raise ValueError(f"unknown figure id {self.figure_id!r}; "
-                             f"valid: {FIGURE_IDS}")
-
-
 def _sweep_columns(spec: SweepSpec) -> list[str]:
     cols = ["lam", "x0", "eta", "nbar"]
     for qty in spec.quantities:
@@ -193,123 +179,140 @@ def run_sweep(spec: SweepSpec) -> tuple[dict, list[str], list[dict]]:
 # figure jobs
 # ---------------------------------------------------------------------------
 
-def _log_one_minus_lam_grid(lo: float = 0.001, hi: float = 0.95,
-                            count: int = 200) -> np.ndarray:
-    """lam grid log-spaced in (1 - lam), ascending, endpoints included."""
-    u = np.logspace(math.log10(1.0 - lo), math.log10(1.0 - hi), count)
-    return 1.0 - u
+# 200 lam points log-spaced in (1 - lam) on [0.001, 0.95], ascending
+_CONTOUR_LAMS = 1.0 - np.logspace(math.log10(1.0 - 0.001), math.log10(1.0 - 0.95), 200)
 
 
-def _contour_rows(q_targets, etas, lams) -> list[dict]:
-    rows = []
-    for q_target, eta in itertools.product(q_targets, etas):
-        d = DetectorModel(eta=eta)
-        for lam in lams:
-            rep = solve_threshold_for_mandel_q(Squeezing(lam), q_target, d)
-            if rep.feasible:
-                c = acceptance_probability_imperfect(
-                    Squeezing(lam), AcceptanceWindow.threshold(rep.solution), d)
-                rows.append({"q_target": q_target, "eta": eta, "lam": float(lam),
-                             "x0_required": rep.solution,
-                             "acceptance_probability": c, "feasible": True})
-            else:
-                rows.append({"q_target": q_target, "eta": eta, "lam": float(lam),
-                             "x0_required": "", "acceptance_probability": "",
-                             "feasible": False})
+def _contour_rows(q, eta, lam, **_) -> list[dict]:
+    rows, detectors = [], {e: DetectorModel(eta=e) for e in eta}
+    for q_target, e, lam_i in itertools.product(q, eta, lam):
+        point = _contour_point(lam_i, q_target, detectors[e])
+        x0, c = point or ("", "")
+        rows.append({"q_target": q_target, "eta": e, "lam": float(lam_i),
+                     "x0_required": x0, "acceptance_probability": c,
+                     "feasible": point is not None})
     return rows
+
+
+def _fig2_rows(lam, x0) -> list[dict]:
+    return [{"lam": float(lam_i), "x0": float(x0_i),
+             "mean_n": mean_photon_number(Squeezing(lam_i), AcceptanceWindow.threshold(x0_i)),
+             "Q": mandel_q(Squeezing(lam_i), AcceptanceWindow.threshold(x0_i))}
+            for lam_i in lam for x0_i in x0]
+
+
+def _fig4_rows(lam, x0, tol) -> list[dict]:
+    rows = []
+    for x0_i in x0:
+        p = photon_distribution(Squeezing(lam), AcceptanceWindow.threshold(x0_i), tol=tol).p
+        rows.extend({"x0": float(x0_i), "n": n, "p_n": float(p_n)} for n, p_n in enumerate(p))
+    return rows
+
+
+def _fig5_rows(lam, x0, r) -> list[dict]:
+    rows = []
+    for x0_i in x0:
+        p = photon_distribution(Squeezing(lam), AcceptanceWindow.threshold(x0_i)).p
+        rows.extend({"x0": float(x0_i), "r": float(r_i), "husimi": float(h)}
+                    for r_i, h in zip(r, husimi(p, r)))
+    return rows
+
+
+class _Figure(NamedTuple):
+    """A figure's inputs (``params`` overridable, ``fixed`` not), columns and rows.
+
+    Inputs are in header order and ``rows`` takes them all by name.  A
+    default's type fixes its header form: a tuple in full, an array grid as
+    ``[first, last]`` plus ``<name>_points``, else as is (a float takes one value).
+    """
+
+    params: dict
+    columns: dict
+    rows: Callable[..., list[dict]]
+    fixed: dict = {}
+
+
+_CONTOUR_COLUMNS = {"q_target": "Mandel Q contour", "eta": "detector efficiency",
+                    "lam": "squeezing parameter",
+                    "x0_required": "threshold reaching the contour",
+                    "acceptance_probability": "heralding probability",
+                    "feasible": "whether the contour is reachable"}
+_LOG_SPACING = {"lam_spacing": "log in (1 - lam)"}
+
+_FIGURES = {
+    # mean photon number and Mandel Q versus threshold
+    "fig2": _Figure({"lam": (0.05, 0.1, 0.2), "x0": np.linspace(0.0, 4.0, 201)},
+                    {"lam": "squeezing parameter", "x0": "acceptance threshold",
+                     "mean_n": "mean photon number of heralded state",
+                     "Q": "Mandel Q of heralded state"},
+                    _fig2_rows),
+    # heralding probability and required threshold along fixed-Q contours
+    # (rows at eta = 1, without the eta column)
+    "fig3": _Figure({"q": (0.0, -0.05, -0.1, -0.2), "lam": _CONTOUR_LAMS},
+                    {k: v for k, v in _CONTOUR_COLUMNS.items() if k != "eta"},
+                    lambda q, lam, **_: _contour_rows(q, (1.0,), lam), _LOG_SPACING),
+    # photon-number distributions at increasing thresholds
+    "fig4": _Figure({"lam": 0.25, "x0": (0.0, 1.0, 2.0, 3.0)},
+                    {"x0": "acceptance threshold", "n": "photon number",
+                     "p_n": "probability of n photons"},
+                    _fig4_rows, {"tol": 1e-12}),
+    # Husimi radial profiles of the thermal and strongly heralded states
+    "fig5": _Figure({"lam": 0.25, "x0": (0.0, 2.0)},
+                    {"x0": "acceptance threshold", "r": "phase-space radius |alpha|",
+                     "husimi": "Husimi function value"},
+                    _fig5_rows, {"r": np.linspace(0.0, 5.0, 201)}),
+    # fixed-Q contours for four detection efficiencies
+    "fig6": _Figure({"q": (0.0, -0.05), "eta": (0.9, 0.8, 0.7, 0.6),
+                     "lam": _CONTOUR_LAMS},
+                    _CONTOUR_COLUMNS, _contour_rows, _LOG_SPACING),
+}
+
+FIGURE_IDS = tuple(_FIGURES)
+
+
+@dataclass(frozen=True)
+class FigureJob:
+    """Request for one reference figure; ``overrides`` maps inputs to number lists."""
+
+    figure_id: str
+    overrides: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.figure_id not in _FIGURES:
+            raise ValueError(f"unknown figure id {self.figure_id!r}; "
+                             f"valid: {FIGURE_IDS}")
+        params = _FIGURES[self.figure_id].params
+        overrides = {}
+        for name, values in self.overrides.items():
+            if name not in params:
+                raise ValueError(f"{self.figure_id} takes {', '.join(params)}; got {name!r}")
+            values = _numbers(name, values)
+            single = isinstance(params[name], float)
+            if not values or (single and len(values) > 1):
+                need = "one" if single else "at least one"
+                raise ValueError(f"{self.figure_id} takes {need} {name} value, "
+                                 f"got {len(values)}")
+            overrides[name] = values[0] if single else values
+        object.__setattr__(self, "overrides", overrides)
 
 
 def build_figure(job: FigureJob) -> tuple[dict, list[str], list[dict]]:
     """Data rows for one reference figure; returns (meta, columns, rows)."""
-    ov = job.overrides
+    fig = _FIGURES[job.figure_id]
+    defaults = {**fig.params, **fig.fixed}
+    values = {**defaults, **job.overrides}
     meta = {"generator": f"quadherald {__version__}", "kind": job.figure_id}
-
-    if job.figure_id == "fig2":
-        # mean photon number and Mandel Q versus threshold
-        lams = ov.get("lam", [0.05, 0.1, 0.2])
-        x0s = ov.get("x0", np.linspace(0.0, 4.0, 201))
-        meta.update(lam=list(map(float, lams)), x0=[float(x0s[0]), float(x0s[-1])],
-                    x0_points=len(x0s),
-                    columns={"lam": "squeezing parameter",
-                             "x0": "acceptance threshold",
-                             "mean_n": "mean photon number of heralded state",
-                             "Q": "Mandel Q of heralded state"})
-        rows = [{"lam": float(lam), "x0": float(x0),
-                 "mean_n": mean_photon_number(Squeezing(lam),
-                                              AcceptanceWindow.threshold(x0)),
-                 "Q": mandel_q(Squeezing(lam), AcceptanceWindow.threshold(x0))}
-                for lam in lams for x0 in x0s]
-        return meta, ["lam", "x0", "mean_n", "Q"], rows
-
-    if job.figure_id == "fig3":
-        # heralding probability and required threshold along fixed-Q contours
-        q_targets = ov.get("q", [0.0, -0.05, -0.1, -0.2])
-        lams = ov.get("lam", _log_one_minus_lam_grid())
-        meta.update(q=list(map(float, q_targets)),
-                    lam=[float(lams[0]), float(lams[-1])], lam_points=len(lams),
-                    lam_spacing="log in (1 - lam)",
-                    columns={"q_target": "Mandel Q contour",
-                             "lam": "squeezing parameter",
-                             "x0_required": "threshold reaching the contour",
-                             "acceptance_probability": "heralding probability",
-                             "feasible": "whether the contour is reachable"})
-        rows = [{k: v for k, v in row.items() if k != "eta"}
-                for row in _contour_rows(q_targets, [1.0], lams)]
-        return meta, ["q_target", "lam", "x0_required",
-                      "acceptance_probability", "feasible"], rows
-
-    if job.figure_id == "fig4":
-        # photon-number distributions at increasing thresholds
-        lam = float(ov.get("lam", [0.25])[0])
-        x0s = ov.get("x0", [0.0, 1.0, 2.0, 3.0])
-        tol = float(ov.get("tol", 1e-12))
-        meta.update(lam=lam, x0=list(map(float, x0s)), tol=tol,
-                    columns={"x0": "acceptance threshold",
-                             "n": "photon number",
-                             "p_n": "probability of n photons"})
-        rows = []
-        for x0 in x0s:
-            stats = photon_distribution(Squeezing(lam),
-                                        AcceptanceWindow.threshold(x0), tol=tol)
-            rows.extend({"x0": float(x0), "n": n, "p_n": float(stats.p[n])}
-                        for n in range(stats.n_max + 1))
-        return meta, ["x0", "n", "p_n"], rows
-
-    if job.figure_id == "fig5":
-        # Husimi radial profiles of the thermal and strongly heralded states
-        lam = float(ov.get("lam", [0.25])[0])
-        x0s = ov.get("x0", [0.0, 2.0])
-        radii = ov.get("radii", np.linspace(0.0, 5.0, 201))
-        meta.update(lam=lam, x0=list(map(float, x0s)),
-                    r=[float(radii[0]), float(radii[-1])], r_points=len(radii),
-                    columns={"x0": "acceptance threshold",
-                             "r": "phase-space radius |alpha|",
-                             "husimi": "Husimi function value"})
-        rows = []
-        for x0 in x0s:
-            stats = photon_distribution(Squeezing(lam),
-                                        AcceptanceWindow.threshold(x0))
-            values = husimi(stats.p, np.asarray(radii))
-            rows.extend({"x0": float(x0), "r": float(r), "husimi": float(v)}
-                        for r, v in zip(radii, values))
-        return meta, ["x0", "r", "husimi"], rows
-
-    # fig6: fixed-Q contours for four detection efficiencies
-    q_targets = ov.get("q", [0.0, -0.05])
-    etas = ov.get("eta", [0.9, 0.8, 0.7, 0.6])
-    lams = ov.get("lam", _log_one_minus_lam_grid())
-    meta.update(q=list(map(float, q_targets)), eta=list(map(float, etas)),
-                lam=[float(lams[0]), float(lams[-1])], lam_points=len(lams),
-                lam_spacing="log in (1 - lam)",
-                columns={"q_target": "Mandel Q contour",
-                         "eta": "detector efficiency",
-                         "lam": "squeezing parameter",
-                         "x0_required": "threshold reaching the contour",
-                         "acceptance_probability": "heralding probability",
-                         "feasible": "whether the contour is reachable"})
-    rows = _contour_rows(q_targets, etas, lams)
-    return meta, ["q_target", "eta", "lam", "x0_required",
-                  "acceptance_probability", "feasible"], rows
+    for name, default in defaults.items():
+        value = values[name]
+        if isinstance(default, np.ndarray):
+            meta[name] = [float(value[0]), float(value[-1])]
+            meta[f"{name}_points"] = len(value)
+        elif isinstance(default, tuple):
+            meta[name] = [float(v) for v in value]
+        else:
+            meta[name] = value
+    meta["columns"] = dict(fig.columns)
+    return meta, list(fig.columns), fig.rows(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +320,20 @@ def build_figure(job: FigureJob) -> tuple[dict, list[str], list[dict]]:
 # ---------------------------------------------------------------------------
 
 def _cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
+    """One CSV field: floats as repr, lists and dicts as JSON, None empty.
+
+    A field holding ``,``, ``"`` or a newline is quoted as in RFC 4180.
+    """
     if isinstance(value, float):  # includes numpy scalars
         return repr(float(value))  # shortest digits that round-trip exactly
-    return str(value)
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if value is None:
+        return ""
+    text = json.dumps(value) if isinstance(value, (list, dict)) else str(value)
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def format_csv(meta: dict, columns: list[str], rows: list[dict]) -> str:

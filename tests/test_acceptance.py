@@ -15,7 +15,7 @@ import pytest
 import quadherald as qh
 from _oracles import moment_via_generating_function
 from quadherald.cli import main
-from quadherald.sweeps import _log_one_minus_lam_grid
+from quadherald.sweeps import _CONTOUR_LAMS
 
 IDEAL = qh.DetectorModel.ideal()
 
@@ -130,7 +130,7 @@ def _min_q_over_grid(eta, nbar, lams, thresholds):
 
 def test_07_efficiency_threshold():
     with _Criterion(7, 60.0):
-        lams = _log_one_minus_lam_grid(0.001, 0.95, 200)
+        lams = _CONTOUR_LAMS
         thresholds = np.linspace(0.0, 8.0, 81)
         # vacuum auxiliary: the 1/2 boundary
         assert _min_q_over_grid(0.45, 0.0, lams, thresholds) > 0.0

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 
 import quadherald as qh
 from quadherald.cli import main
+from quadherald.sweeps import FigureJob
 
 
 def run(capsys, *argv):
@@ -17,16 +19,17 @@ def run(capsys, *argv):
 
 
 def parse_csv(text):
-    lines = text.strip().splitlines()
+    """(meta, columns, rows) of a CSV output; every row has the header's length."""
+    lines = text.splitlines(keepends=True)
     meta = {}
     k = 0
     while lines[k].startswith("#"):
         key, _, value = lines[k][2:].partition(": ")
         meta[key] = json.loads(value)
         k += 1
-    columns = lines[k].split(",")
-    rows = [dict(zip(columns, line.split(","))) for line in lines[k + 1:]]
-    return meta, columns, rows
+    columns, *body = csv.reader(lines[k:])
+    assert all(len(cells) == len(columns) for cells in body)
+    return meta, columns, [dict(zip(columns, cells)) for cells in body]
 
 
 class TestStats:
@@ -199,7 +202,13 @@ class TestSweep:
 
 
 class TestFigure:
-    @pytest.mark.parametrize("fig", ["fig2", "fig3", "fig4", "fig5", "fig6"])
+    HEADERS = {"fig2": ["lam", "x0", "x0_points"],
+               "fig3": ["q", "lam", "lam_points", "lam_spacing"],
+               "fig4": ["lam", "x0", "tol"],
+               "fig5": ["lam", "x0", "r", "r_points"],
+               "fig6": ["q", "eta", "lam", "lam_points", "lam_spacing"]}
+
+    @pytest.mark.parametrize("fig", list(HEADERS))
     def test_generates_schema_valid_csv(self, fig, tmp_path, capsys):
         out = tmp_path / f"{fig}.csv"
         lam_override = ["--lambda", "0.05,0.2"] if fig in ("fig3", "fig6") \
@@ -208,10 +217,20 @@ class TestFigure:
         assert code == 0
         meta, columns, rows = parse_csv(out.read_text())
         assert meta["kind"] == fig
-        assert "columns" in meta and set(meta["columns"]) == set(columns)
+        assert list(meta) == ["generator", "kind", *self.HEADERS[fig], "columns"]
+        assert list(meta["columns"]) == columns
         assert len(rows) > 0
-        for row in rows:
-            assert set(row) == set(columns)
+
+    @pytest.mark.parametrize("fig,overrides", [
+        ("fig4", {"tol": [1e-9]}),
+        ("fig5", {"radii": [1.0]}),
+        ("fig5", {"lam": [0.1, 0.2]}),
+        ("fig2", {"x0": []}),
+        ("fig6", {"eta": "0.9"}),
+    ])
+    def test_job_rejects_inputs_the_figure_does_not_take(self, fig, overrides):
+        with pytest.raises(ValueError):
+            FigureJob(fig, overrides)
 
     def test_fig4_peak_moves_up_with_threshold(self, tmp_path):
         out = tmp_path / "fig4.csv"
@@ -251,6 +270,52 @@ class TestFigure:
         for path in paths:
             assert main(["figure", "fig5", "--out", str(path)]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["figure", "fig2", "--eta", "0.8"],
+    ["figure", "fig3", "--x0", "1"],
+    ["figure", "fig4", "--lambda", "0.1,0.2"],
+    ["figure", "fig5", "--lambda", "0.1,0.2"],
+    ["sweep", "--spec", "SPEC", "--lambda", "0.5", "--quantities", "C"],
+    ["sweep", "--spec", "SPEC", "--quantities", "C"],
+])
+def test_flag_the_command_does_not_use_exits_2(argv, tmp_path, capsys):
+    spec, out = tmp_path / "s.json", tmp_path / "out"
+    spec.write_text(json.dumps({"lam": [0.25], "x0": [1.0]}))
+    argv = [str(spec) if arg == "SPEC" else arg for arg in argv]
+    code, _, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2 and err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--lambda", "0,0.1", "--x0", "1", "--quantities", "C,Q"],
+    ["stats", "--lambda", "0.25", "--x0", "2", "--pn"],
+    ["montecarlo", "--lambda", "0.25", "--x0", "1", "--shots", "20000"],
+    ["solve", "x0-min"],
+])
+def test_csv_cells_match_json(argv, capsys):
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    _, columns, rows = parse_csv(out)
+    payload = json.loads(run(capsys, *argv, "--format", "json")[1])
+    records = payload["rows"] if argv[0] == "sweep" else [payload]
+    assert len(rows) == len(records)
+    for row, record in zip(rows, records):
+        assert columns == list(record)
+        for col, value in record.items():
+            cell = row[col]
+            if isinstance(value, (list, dict)):
+                assert json.loads(cell) == value
+            elif value is None:
+                assert cell == ""
+            elif isinstance(value, bool):
+                assert cell == json.dumps(value)
+            elif isinstance(value, str):
+                assert cell == value
+            else:
+                assert float(cell) == value
 
 
 class TestMonteCarloCommand:

@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import quadherald as qh
+from quadherald import solvers
 
 
 def thr(x0):
@@ -107,9 +108,10 @@ class TestOptimalSqueezing:
                 qh.DetectorModel.ideal())
             assert rep.value >= c - 1e-9
 
-    def test_stable_under_grid_refinement(self):
-        coarse = qh.optimal_squeezing_for_mandel_q(-0.05, scan_points=50)
-        fine = qh.optimal_squeezing_for_mandel_q(-0.05, scan_points=150)
+    def test_stable_under_grid_refinement(self, monkeypatch):
+        coarse = qh.optimal_squeezing_for_mandel_q(-0.05)
+        monkeypatch.setattr(solvers, "_SCAN_POINTS", 150)
+        fine = qh.optimal_squeezing_for_mandel_q(-0.05)
         assert coarse.solution == pytest.approx(fine.solution, abs=1e-4)
         assert coarse.value == pytest.approx(fine.value, abs=1e-4)
 

@@ -375,6 +375,16 @@ class TestMoments:
         assert qh.second_factorial_moment(qh.Squeezing(lam), thr(0.0)) == \
             pytest.approx(expected, rel=1e-14, abs=1e-300)
 
+    @pytest.mark.parametrize("eta,nbar", [(1.0, 0.0), (0.8, 0.0), (0.6, 0.5)])
+    def test_thermal_moments_exact_at_zero_threshold(self, eta, nbar):
+        # erfcx(0) = 1 makes the threshold term exactly 0.0 at x0 = 0
+        d = qh.DetectorModel(eta=eta, n_bar=nbar)
+        for lam in (0.05, 0.25, 0.6, 0.95):
+            s, u = qh.Squeezing(lam), 1.0 - lam
+            assert qh.mean_photon_number(s, thr(0.0), d) == lam / u
+            assert qh.second_factorial_moment(s, thr(0.0), d) == \
+                2.0 * lam * lam / (u * u)
+
     @pytest.mark.parametrize("eta", [1.0, 0.8, 0.6])
     def test_moments_match_distribution_sums(self, eta):
         s, w, d = qh.Squeezing(0.25), thr(2.0), qh.DetectorModel(eta=eta)
