@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -24,7 +23,7 @@ from .solvers import (efficiency_threshold, minimum_poissonian_threshold,
 from .stats import (AcceptanceWindow, DetectorModel, Squeezing,
                     acceptance_probability_imperfect, mandel_q,
                     mean_photon_number, photon_distribution)
-from .sweeps import (FigureJob, SweepSpec, build_figure, format_csv,
+from .sweeps import (FigureJob, SweepSpec, _json_safe, build_figure, format_csv,
                      format_json, run_sweep, FIGURE_IDS)
 
 USAGE_ERROR, NONCONVERGENCE_ERROR = 2, 3
@@ -50,16 +49,6 @@ def _emit(text: str, out: str | None) -> None:
     else:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-
-
-def _json_safe(value):
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
 
 
 def _emit_record(record: dict, fmt: str, out: str | None) -> None:

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special as _sp
-from scipy.integrate import quad
 
 from .errors import NonConvergenceError
 from .special import oscillator_eigenfunctions
@@ -65,6 +64,7 @@ def fock_acceptance_probability_quadrature(n: int, w: AcceptanceWindow,
     """
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    from scipy.integrate import quad     # on first use: keeps it off the CLI import
     d = d or DetectorModel.ideal()
     b = _support_halfwidth(n)
     total, err_total = 0.0, 0.0

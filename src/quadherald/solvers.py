@@ -1,22 +1,24 @@
 """Threshold and optimization problems built on the closed-form statistics.
 
-Root-finding solves the threshold that reaches a target Mandel Q (using
-that Q decreases monotonically with the threshold) and the weak-squeezing
-threshold floor; a scan-then-golden-section search finds the squeezing
-that maximizes the heralding probability along a fixed-Q contour.
+One lockstep root-finder solves the threshold that reaches a target
+Mandel Q on many (lam, q, eta, n_bar) lanes at once; a single threshold
+is a one-lane call.  A scan and nested grids, each grid one lockstep
+call, find the squeezing that maximizes the heralding probability along
+a fixed-Q contour.  The weak-squeezing threshold floor is a root of the
+closed-form slope of Q.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NonConvergenceError
-from .stats import AcceptanceWindow, DetectorModel, Squeezing, \
-    acceptance_probability_imperfect, mandel_q, mandel_q_slope_at_zero_squeezing
+from .stats import _EPS, DetectorModel, Squeezing, _acceptance, _mandel_q, _moments, \
+    _where, mandel_q_slope_at_zero_squeezing
 
 __all__ = [
     "SolveReport",
@@ -55,42 +57,98 @@ class SolveReport:
         }
 
 
+class _Roots(NamedTuple):
+    """Per-lane outcome of :func:`_threshold_roots`."""
+
+    x0: np.ndarray            # root; on an infeasible lane 0 or the last bracket end
+    residual: np.ndarray      # Q(x0) - q_target
+    iterations: np.ndarray    # bracket doublings + ITP steps
+    x_hi: np.ndarray          # bracket [0, x_hi]; 0 when decided at x0 = 0
+    feasible: np.ndarray
+
+
+def _threshold_roots(lam, q_target, eta, n_bar) -> _Roots:
+    """Thresholds x0 with Q(lam, x0) = q_target on the broadcast lanes.
+
+    Q falls monotonically in x0 from lam/(1-lam) at x0 = 0, so a sign
+    change over [0, x_hi], x_hi doubled from 4 up to ``_X0_CAP``, brackets
+    the root.  ITP (Oliveira & Takahashi, ACM TOMS 47, 2020; k1 = 0.2 / x_hi,
+    k2 = 2, n0 = 4) shrinks each bracket to two ulps; the end with the
+    smaller |Q - q_target| is the root.  Steps are elementwise and a done
+    lane is frozen, so no lane depends on the others.
+    """
+    # a one-lane call of floats runs on numpy scalars, not on arrays
+    lam, q_target, eta, n_bar = (v[()] for v in np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (lam, q_target, eta, n_bar))))
+    if not ((0.0 < lam) & (lam < 1.0)).all():
+        raise ValueError("the threshold solver needs every lam in (0, 1)")
+    if not ((-1.0 <= q_target) & (q_target < math.inf)).all():
+        raise ValueError("every q_target must be finite and >= -1")
+    moments = _moments(lam, eta, n_bar)
+
+    def f(x0):
+        return _mandel_q(*moments(x0)) - q_target
+
+    a = 0.0 * lam
+    fa = f(a)
+    b = a + _where(fa > 0.0, 4.0, 0.0)     # f(0) <= 0: decided at x0 = 0
+    fb = _where(fa > 0.0, f(b), fa)
+    iterations = np.zeros(lam.shape, dtype=int)[()]
+    grow = fb > 0.0
+    while grow.any():
+        capped = grow & (2.0 * b > _X0_CAP)
+        iterations = iterations + grow
+        grow &= ~capped
+        b = _where(grow, 2.0 * b, b)
+        fb = _where(grow, f(b), fb)
+        grow &= fb > 0.0
+    feasible = (fa == 0.0) | ((fa > 0.0) & (fb <= 0.0))
+
+    x_hi = b
+    active = feasible & (fb < 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # eps = x_hi 2^-55 gives n_1/2 = 54; n0 = 4 leaves slack for the
+        # slow first regula falsi steps (with n0 = 1 some lanes fall back to
+        # 50 bisection steps)
+        eps, k1, n_max = x_hi * 2.0 ** -55, 0.2 / x_hi, 54 + 4
+        for j in range(2 * n_max):      # ITP is bisection once j > n_max
+            if not active.any():
+                break
+            # ITP step: regula falsi, truncated by k1 w^2 towards the midpoint,
+            # projected into the minmax radius around it
+            width, mid = b - a, 0.5 * (a + b)
+            gap = mid - (fa * b - fb * a) / (fa - fb)
+            radius = eps * 2.0 ** (n_max - j) - 0.5 * width
+            shift = abs(gap) - k1 * width * width
+            shift = _where(shift < radius, _where(shift > 0.0, shift, 0.0),
+                           _where(radius > 0.0, radius, 0.0))
+            x = mid - np.sign(gap) * shift
+            # at a few ulps the step can round onto an end: bisect instead
+            x = _where((a < x) & (x < b), x, mid)
+            fx = f(x)
+            up, down = active & (fx >= 0.0), active & (fx <= 0.0)
+            a, fa = _where(up, x, a), _where(up, fx, fa)
+            b, fb = _where(down, x, b), _where(down, fx, fb)
+            iterations = iterations + active
+            active &= b - a > 2.0 * _EPS * b
+    if active.any():                       # a nan Q never shrinks its bracket
+        raise NonConvergenceError("the threshold solver did not converge on every lane")
+    pick_a = feasible & (np.abs(fa) < np.abs(fb))
+    return _Roots(x0=_where(pick_a, a, b), residual=_where(pick_a, fa, fb),
+                  iterations=iterations, x_hi=x_hi, feasible=feasible)
+
+
 def solve_threshold_for_mandel_q(s: Squeezing, q_target: float,
                                  d: DetectorModel | None = None) -> SolveReport:
     """Threshold x0 with Mandel Q(lam, x0) = q_target, or an infeasible report.
 
-    Q decreases monotonically in x0 from lam/(1-lam) at x0 = 0, so a sign
-    change over [0, x_hi] (x_hi doubled from 4) brackets the unique root.
+    A one-lane call of the lockstep root-finder (see ``_threshold_roots``).
     """
-    if s.lam <= 0.0:
-        raise ValueError("solve_threshold_for_mandel_q needs lam > 0")
-    if not (np.isfinite(q_target) and q_target >= -1.0):
-        raise ValueError(f"q_target must be >= -1, got {q_target!r}")
     d = d or DetectorModel.ideal()
-
-    def f(x0: float) -> float:
-        return mandel_q(s, AcceptanceWindow.threshold(x0), d) - q_target
-
-    f0 = f(0.0)
-    if f0 == 0.0:
-        return SolveReport(solution=0.0, residual=0.0, iterations=0,
-                           bracket=(0.0, 0.0), feasible=True)
-    if f0 < 0.0:  # target above the x0 = 0 value: unreachable
-        return SolveReport(solution=0.0, residual=f0, iterations=0,
-                           bracket=(0.0, 0.0), feasible=False)
-    x_hi = 4.0
-    doublings = 0
-    while f(x_hi) > 0.0:
-        x_hi *= 2.0
-        doublings += 1
-        if x_hi > _X0_CAP:
-            return SolveReport(solution=x_hi / 2.0, residual=f(x_hi / 2.0),
-                               iterations=doublings, bracket=(0.0, x_hi / 2.0),
-                               feasible=False)
-    root, res = brentq(f, 0.0, x_hi, xtol=1e-10, full_output=True)
-    return SolveReport(solution=float(root), residual=f(float(root)),
-                       iterations=res.iterations + doublings,
-                       bracket=(0.0, x_hi), feasible=True)
+    r = _threshold_roots(s.lam, q_target, d.eta, d.n_bar)
+    return SolveReport(solution=float(r.x0), residual=float(r.residual),
+                       iterations=int(r.iterations), bracket=(0.0, float(r.x_hi)),
+                       feasible=bool(r.feasible))
 
 
 def minimum_poissonian_threshold() -> SolveReport:
@@ -107,44 +165,37 @@ def minimum_poissonian_threshold() -> SolveReport:
         raise NonConvergenceError(
             f"expected exactly one sign change on [0, 2], found {len(changes)}")
     lo, hi = grid[changes[0]], grid[changes[0] + 1]
+    from scipy.optimize import brentq     # on first use: keeps it off the CLI import
     root, res = brentq(slope, lo, hi, xtol=1e-14, full_output=True)
     return SolveReport(solution=float(root), residual=slope(float(root)),
                        iterations=res.iterations, bracket=(float(lo), float(hi)),
                        feasible=True)
 
 
-def _contour_point(lam: float, q_target: float,
-                   d: DetectorModel) -> tuple[float, float] | None:
-    """(x0, C) where the Q = q_target contour crosses lam; None when unreachable."""
-    s = Squeezing(lam)
-    report = solve_threshold_for_mandel_q(s, q_target, d)
-    if not report.feasible:
-        return None
-    return report.solution, acceptance_probability_imperfect(
-        s, AcceptanceWindow.threshold(report.solution), d)
-
-
-def _contour_probability(lam: float, q_target: float, d: DetectorModel) -> float:
-    """C(lam, x0*(lam)) along the Q = q_target contour; -inf when infeasible."""
-    point = _contour_point(lam, q_target, d)
-    return -math.inf if point is None else point[1]
+def _contour(lam, q_target, eta, n_bar) -> tuple[_Roots, np.ndarray]:
+    """Roots and the heralding probability C at them, lane by lane; C = -inf
+    where the Q = q_target contour does not reach lam."""
+    roots = _threshold_roots(lam, q_target, eta, n_bar)
+    return roots, np.where(roots.feasible, _acceptance(lam, roots.x0, eta, n_bar), -np.inf)
 
 
 def optimal_squeezing_for_mandel_q(q_target: float,
                                    d: DetectorModel | None = None) -> SolveReport:
     """Squeezing that maximizes the heralding probability at fixed Mandel Q.
 
-    A coarse scan over lam checks feasibility and unimodality; a
-    golden-section refinement then localizes the interior maximum.  A
-    maximum sitting on the first scan point is reported as a boundary
-    supremum (the probability only grows as lam -> 0).
+    A coarse scan over lam checks feasibility; nested grids of 33 points
+    around the best point then localize the maximum without assuming it is
+    unique, each grid one lockstep call.  A maximum sitting on the first
+    scan point is reported as a boundary supremum (the probability only
+    grows as lam -> 0).
     """
-    if not (np.isfinite(q_target) and q_target >= -1.0):
-        raise ValueError(f"q_target must be >= -1, got {q_target!r}")
     d = d or DetectorModel.ideal()
 
+    def probability(lams: np.ndarray) -> np.ndarray:
+        return _contour(lams, q_target, d.eta, d.n_bar)[1]
+
     lams = np.linspace(_LAM_LO, _LAM_HI, _SCAN_POINTS)
-    values = np.array([_contour_probability(lam, q_target, d) for lam in lams])
+    values = probability(lams)
     evals = _SCAN_POINTS
     if not np.any(np.isfinite(values)):
         return SolveReport(solution=math.nan, residual=math.nan,
@@ -156,48 +207,18 @@ def optimal_squeezing_for_mandel_q(q_target: float,
                            iterations=evals, bracket=(_LAM_LO, _LAM_HI),
                            feasible=True, value=float(values[0]), boundary=True)
 
-    finite = np.isfinite(values)
-    interior_max = 0
-    for i in range(1, _SCAN_POINTS - 1):
-        if finite[i] and values[i] >= values[i - 1] and values[i] >= values[i + 1]:
-            interior_max += 1
     bracket = (float(lams[best - 1]), float(lams[min(best + 1, _SCAN_POINTS - 1)]))
     lo, hi = bracket
-
-    if interior_max > 1:
-        # scan shows more than one local maximum: refine on nested grids
-        # instead of assuming unimodality
-        for _ in range(6):
-            grid = np.linspace(lo, hi, 33)
-            vals = np.array([_contour_probability(l, q_target, d) for l in grid])
-            evals += 33
-            j = int(np.argmax(vals))
-            lo, hi = float(grid[max(j - 1, 0)]), float(grid[min(j + 1, 32)])
-        lam_star = 0.5 * (lo + hi)
-    else:
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b = lo, hi
-        c_pt = b - invphi * (b - a)
-        d_pt = a + invphi * (b - a)
-        fc = _contour_probability(c_pt, q_target, d)
-        fd = _contour_probability(d_pt, q_target, d)
-        evals += 2
-        while b - a > 1e-6:
-            if fc >= fd:
-                b, d_pt, fd = d_pt, c_pt, fc
-                c_pt = b - invphi * (b - a)
-                fc = _contour_probability(c_pt, q_target, d)
-            else:
-                a, c_pt, fc = c_pt, d_pt, fd
-                d_pt = a + invphi * (b - a)
-                fd = _contour_probability(d_pt, q_target, d)
-            evals += 1
-        lam_star = 0.5 * (a + b)
-        lo, hi = a, b
-
-    return SolveReport(solution=float(lam_star), residual=float(hi - lo),
-                       iterations=evals, bracket=bracket, feasible=True,
-                       value=_contour_probability(lam_star, q_target, d))
+    # each grid shrinks the bracket 16-fold: 5 grids reach ~4e-8, where C
+    # is flat to rounding
+    for _ in range(5):
+        grid = np.linspace(lo, hi, 33)
+        values = probability(grid)
+        evals += 33
+        j = int(np.argmax(values))
+        lo, hi = float(grid[max(j - 1, 0)]), float(grid[min(j + 1, 32)])
+    return SolveReport(solution=float(grid[j]), residual=hi - lo, iterations=evals,
+                       bracket=bracket, feasible=True, value=float(values[j]))
 
 
 def efficiency_threshold(n_bar: float) -> float:

@@ -72,6 +72,7 @@ __all__ = [
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
+_UNDEFINED_Q = "Mandel Q is undefined at lam = 0 (vacuum signal, zero mean)"
 _EPS = float(np.finfo(float).eps)
 
 #: Hard cap on the truncation order of the photon-number distribution.
@@ -199,8 +200,14 @@ class DetectorModel:
         ``x0 / threshold_scale`` with efficiency ``eta_eff`` and a vacuum
         auxiliary mode.
         """
-        s = 1.0 + 2.0 * self.n_bar * (1.0 - self.eta)
-        return self.eta / s, math.sqrt(s)
+        eta_eff, scale = _vacuum_equivalent(self.eta, self.n_bar)
+        return eta_eff, float(scale)
+
+
+def _vacuum_equivalent(eta, n_bar):
+    """(eta_eff, threshold_scale) of :meth:`DetectorModel.reduce_to_vacuum_auxiliary`."""
+    s = 1.0 + 2.0 * n_bar * (1.0 - eta)
+    return eta / s, np.sqrt(s)
 
 
 @dataclass(frozen=True)
@@ -243,9 +250,17 @@ def _reduced_params(x0: float, detector: DetectorModel) -> tuple[float, float]:
 
 def idler_quadrature_variance(s: Squeezing, d: DetectorModel) -> float:
     """Variance of the measured idler quadrature (Gaussian, zero mean)."""
-    lam, eta, nb = s.lam, d.eta, d.n_bar
+    return float(_idler_variance(s.lam, d.eta, d.n_bar))
+
+
+def _idler_variance(lam, eta, nb):
     return (1.0 + 2.0 * nb * (1.0 - eta)
             + lam * (2.0 * eta * (1.0 + nb) - 1.0 - 2.0 * nb)) / (2.0 * (1.0 - lam))
+
+
+def _acceptance(lam, x0, eta, n_bar):
+    """C = erfc(x0 / sqrt(2 var)) on the broadcast grid of the inputs."""
+    return _sp.erfc(x0 / np.sqrt(2.0 * _idler_variance(lam, eta, n_bar)))
 
 
 def acceptance_probability_imperfect(s: Squeezing, w: AcceptanceWindow,
@@ -255,9 +270,8 @@ def acceptance_probability_imperfect(s: Squeezing, w: AcceptanceWindow,
     The measured idler quadrature is a zero-mean Gaussian; for an ideal
     detector its variance is (1 + lam) / (2 (1 - lam)).
     """
-    x0 = w.require_threshold()
-    variance = idler_quadrature_variance(s, d or DetectorModel.ideal())
-    return float(_sp.erfc(x0 / math.sqrt(2.0 * variance)))
+    d = d or DetectorModel.ideal()
+    return float(_acceptance(s.lam, w.require_threshold(), d.eta, d.n_bar))
 
 
 def _heralding_coefficients(n_max: int, x0: float, d: DetectorModel,
@@ -310,45 +324,86 @@ def fock_acceptance_probabilities_imperfect(
     return np.clip(q, 0.0, 1.0)
 
 
-def _moments(s: Squeezing, w: AcceptanceWindow,
-             d: DetectorModel | None) -> tuple[float, float]:
-    """(<n>, <n(n-1)>) of the heralded state, erfcx-stable, for every detector."""
-    x0, eta = _reduced_params(w.require_threshold(), d or DetectorModel.ideal())
-    lam = s.lam
-    u = 1.0 - lam
-    v = 1.0 + (2.0 * eta - 1.0) * lam
-    if lam == 0.0:
-        return 0.0, 0.0
-    z = x0 * math.sqrt(u / v)
-    # exp(-x0^2 u/v) / C == 1 / erfcx(z): no under/overflow for any x0
-    common = 2.0 * eta * x0 / (_SQRT_PI * math.sqrt(u * v ** 3) * _sp.erfcx(z))
-    mean = lam / u + lam * common
-    bracket = (4.0 - 3.0 * eta + 4.0 * (2.0 * eta - 1.0) * lam) / (u * v) \
-        + 2.0 * eta * x0 * x0 / (v * v)
-    second = 2.0 * lam * lam / (u * u) + lam * lam * common * bracket
+def _where(cond, x, y):
+    """``np.where``; for a scalar ``cond`` a plain choice, not a slow 0-d array."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, x, y)
+    return x if cond else y
+
+
+def _cube(v):
+    """v ** 3 by C ``pow`` per element, as for a Python float; numpy's SIMD
+    ``power`` differs from it in the last bit for about one value in twenty."""
+    if np.ndim(v) == 0:
+        return float(v) ** 3
+    return np.array([x ** 3 for x in v.ravel().tolist()]).reshape(v.shape)
+
+
+def _moments(lam, eta, n_bar):
+    """x0 -> (<n>, <n(n-1)>) at broadcast (lam, eta, n_bar), erfcx-stable.
+
+    The x0-independent parts are computed once.  The operation order is
+    fixed, so a value is the same for floats and in any array shape.
+    """
+    eta, scale = _vacuum_equivalent(eta, n_bar)
+    # a vacuum signal has zero moments at every threshold: an infinite scale
+    # maps x0 to 0, where every moment term is exactly 0.0
+    scale = _where(lam == 0.0, np.inf, scale)
+    u, v = 1.0 - lam, 1.0 + (2.0 * eta - 1.0) * lam
+    k, two_eta, root = np.sqrt(u / v), 2.0 * eta, _SQRT_PI * np.sqrt(u * _cube(v))
+    mean0, lam2, second0 = lam / u, lam * lam, 2.0 * lam * lam / (u * u)
+    bracket0 = (4.0 - 3.0 * eta + 4.0 * (2.0 * eta - 1.0) * lam) / (u * v)
+    vv = v * v
+
+    def at(x0):
+        x = x0 / scale
+        tx = two_eta * x
+        # exp(-x^2 u/v) / C == 1 / erfcx(x sqrt(u/v)): no under/overflow for any x0
+        common = tx / (root * _sp.erfcx(x * k))
+        return mean0 + lam * common, second0 + lam2 * common * (bracket0 + tx * x / vv)
+    return at
+
+
+def _mandel_q(mean, second):
+    return (second - mean * mean) / mean
+
+
+def _closed_forms(lam, x0, eta, n_bar) -> dict:
+    """C, mean, second_factorial and Q on the broadcast grid of the inputs,
+    with Q nan where it is undefined (lam = 0)."""
+    mean, second = _moments(lam, eta, n_bar)(x0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.where(mean == 0.0, np.nan, _mandel_q(mean, second))
+    return {"C": _acceptance(lam, x0, eta, n_bar), "mean": mean,
+            "second_factorial": second, "Q": q}
+
+
+def _scalar_moments(s: Squeezing, w: AcceptanceWindow,
+                    d: DetectorModel | None) -> tuple[float, float]:
+    d = d or DetectorModel.ideal()
+    mean, second = _moments(s.lam, d.eta, d.n_bar)(w.require_threshold())
     return float(mean), float(second)
 
 
 def mean_photon_number(s: Squeezing, w: AcceptanceWindow,
                        d: DetectorModel | None = None) -> float:
     """Closed-form mean photon number of the heralded state."""
-    return _moments(s, w, d)[0]
+    return _scalar_moments(s, w, d)[0]
 
 
 def second_factorial_moment(s: Squeezing, w: AcceptanceWindow,
                             d: DetectorModel | None = None) -> float:
     """Closed-form second factorial moment <n(n-1)> of the heralded state."""
-    return _moments(s, w, d)[1]
+    return _scalar_moments(s, w, d)[1]
 
 
 def mandel_q(s: Squeezing, w: AcceptanceWindow,
              d: DetectorModel | None = None) -> float:
     """Mandel Q = (<n(n-1)> - <n>^2) / <n>; negative means sub-Poissonian."""
-    mean, second = _moments(s, w, d)
+    mean, second = _scalar_moments(s, w, d)
     if mean == 0.0:
-        raise UndefinedQError(
-            "Mandel Q is undefined at lam = 0 (vacuum signal, zero mean)")
-    return (second - mean * mean) / mean
+        raise UndefinedQError(_UNDEFINED_Q)
+    return _mandel_q(mean, second)
 
 
 def photon_distribution(s: Squeezing, w: AcceptanceWindow,
@@ -401,10 +456,10 @@ def photon_distribution(s: Squeezing, w: AcceptanceWindow,
             f"p_n check failed at lam = {lam}, x0 = {x0}: min p_n = {p.min():.3e}, "
             f"|1 - sum(p)| = {residual:.3e}, tail bound {bound:.3e}")
     p = np.clip(p, 0.0, 1.0)
-    mean, second = _moments(s, w, d)
+    mean, second = _scalar_moments(s, w, d)
     return ConditionalStatistics(
         p=p, acceptance_probability=acceptance, mean_n=mean,
-        second_factorial=second, mandel_q=(second - mean * mean) / mean,
+        second_factorial=second, mandel_q=_mandel_q(mean, second),
         truncation_error_bound=bound,
         squeezing=s, window=w, detector=d)
 

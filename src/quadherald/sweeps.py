@@ -9,7 +9,6 @@ of the public contract and must not drift.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import numbers
@@ -21,11 +20,9 @@ import numpy as np
 from . import __version__
 from .errors import NonConvergenceError, UndefinedQError
 from .phase_space import husimi, wigner
-from .solvers import _contour_point
-from .stats import (AcceptanceWindow, DetectorModel, Squeezing,
-                    acceptance_probability_imperfect, mandel_q,
-                    mean_photon_number, photon_distribution,
-                    second_factorial_moment)
+from .solvers import _contour
+from .stats import (_UNDEFINED_Q, AcceptanceWindow, DetectorModel, Squeezing,
+                    _closed_forms, photon_distribution)
 
 __all__ = ["SweepSpec", "FigureJob", "run_sweep", "build_figure",
            "format_csv", "format_json", "FIGURE_IDS"]
@@ -63,12 +60,12 @@ class SweepSpec:
                 raise ValueError(f"grid {name} must be nonempty")
         if any(not (0.0 <= v < 1.0) for v in self.lam):
             raise ValueError("all lam grid values must lie in [0, 1)")
-        if any(v < 0.0 for v in self.x0):
-            raise ValueError("all x0 grid values must be nonnegative")
+        if any(not (0.0 <= v < math.inf) for v in self.x0):
+            raise ValueError("all x0 grid values must be nonnegative and finite")
         if any(not (0.0 < v <= 1.0) for v in self.eta):
             raise ValueError("all eta grid values must lie in (0, 1]")
-        if any(v < 0.0 for v in self.nbar):
-            raise ValueError("all nbar grid values must be nonnegative")
+        if any(not (0.0 <= 2.0 * v < math.inf) for v in self.nbar):
+            raise ValueError("all nbar grid values must be nonnegative, 2 nbar finite")
         if not (isinstance(self.quantities, (list, tuple))
                 and all(isinstance(q, str) for q in self.quantities)):
             raise ValueError(
@@ -119,6 +116,16 @@ def _sweep_columns(spec: SweepSpec) -> list[str]:
     return cols
 
 
+def _grid_rows(columns: dict) -> list[dict]:
+    """One row per point of the broadcast grid of ``columns``, in C order."""
+    arrays = np.broadcast_arrays(*columns.values())
+    rows = [{} for _ in range(arrays[0].size)]
+    for name, values in zip(columns, arrays):
+        for row, value in zip(rows, values.ravel().tolist()):
+            row[name] = value
+    return rows
+
+
 def run_sweep(spec: SweepSpec) -> tuple[dict, list[str], list[dict]]:
     """Evaluate the sweep; returns (meta, columns, rows)."""
     meta = {
@@ -134,28 +141,21 @@ def run_sweep(spec: SweepSpec) -> tuple[dict, list[str], list[dict]]:
         meta["radii"] = list(spec.radii)
     columns = _sweep_columns(spec)
 
+    grid = np.ix_(spec.lam, spec.x0, spec.eta, spec.nbar)
+    values = _closed_forms(*grid)
+    table = dict(zip(("lam", "x0", "eta", "nbar"), grid))
+    table.update((qty, values[qty]) for qty in spec.quantities if qty in values)
+    rows = _grid_rows(table)
     needs_distribution = bool({"p_n", "husimi", "wigner"} & set(spec.quantities))
     radii = np.asarray(spec.radii)
-    rows = []
-    for lam, x0, eta, nbar in itertools.product(spec.lam, spec.x0,
-                                                spec.eta, spec.nbar):
-        row = {"lam": lam, "x0": x0, "eta": eta, "nbar": nbar, "error": ""}
-        s, w, d = Squeezing(lam), AcceptanceWindow.threshold(x0), \
-            DetectorModel(eta=eta, n_bar=nbar)
+    for row in rows:
         errors = []
-        if "C" in spec.quantities:
-            row["C"] = acceptance_probability_imperfect(s, w, d)
-        if "mean" in spec.quantities:
-            row["mean"] = mean_photon_number(s, w, d)
-        if "second_factorial" in spec.quantities:
-            row["second_factorial"] = second_factorial_moment(s, w, d)
-        if "Q" in spec.quantities:
-            try:
-                row["Q"] = mandel_q(s, w, d)
-            except UndefinedQError as exc:
-                row["Q"] = ""
-                errors.append(str(exc))
+        if "Q" in row and math.isnan(row["Q"]):
+            row["Q"] = ""
+            errors.append(_UNDEFINED_Q)
         if needs_distribution:
+            s, w = Squeezing(row["lam"]), AcceptanceWindow.threshold(row["x0"])
+            d = DetectorModel(eta=row["eta"], n_bar=row["nbar"])
             try:
                 stats = photon_distribution(s, w, d, tol=spec.tol)
                 if "p_n" in spec.quantities:
@@ -171,7 +171,6 @@ def run_sweep(spec: SweepSpec) -> tuple[dict, list[str], list[dict]]:
                 for col in columns:
                     row.setdefault(col, "")
         row["error"] = "; ".join(errors)
-        rows.append(row)
     return meta, columns, rows
 
 
@@ -184,21 +183,29 @@ _CONTOUR_LAMS = 1.0 - np.logspace(math.log10(1.0 - 0.001), math.log10(1.0 - 0.95
 
 
 def _contour_rows(q, eta, lam, **_) -> list[dict]:
-    rows, detectors = [], {e: DetectorModel(eta=e) for e in eta}
-    for q_target, e, lam_i in itertools.product(q, eta, lam):
-        point = _contour_point(lam_i, q_target, detectors[e])
-        x0, c = point or ("", "")
-        rows.append({"q_target": q_target, "eta": e, "lam": float(lam_i),
-                     "x0_required": x0, "acceptance_probability": c,
-                     "feasible": point is not None})
-    return rows
+    for e in eta:
+        DetectorModel(eta=e)                   # checks each efficiency
+    q, eta, lam = (g.ravel() for g in np.meshgrid(q, eta, lam, indexing="ij"))
+    roots, c = _contour(lam, q, eta, 0.0)
+    return [{"q_target": q_i, "eta": e, "lam": lam_i,
+             "x0_required": x0 if ok else "", "acceptance_probability": c_i if ok else "",
+             "feasible": ok}
+            for q_i, e, lam_i, x0, c_i, ok in zip(
+                q.tolist(), eta.tolist(), lam.tolist(), roots.x0.tolist(), c.tolist(),
+                roots.feasible.tolist())]
 
 
 def _fig2_rows(lam, x0) -> list[dict]:
-    return [{"lam": float(lam_i), "x0": float(x0_i),
-             "mean_n": mean_photon_number(Squeezing(lam_i), AcceptanceWindow.threshold(x0_i)),
-             "Q": mandel_q(Squeezing(lam_i), AcceptanceWindow.threshold(x0_i))}
-            for lam_i in lam for x0_i in x0]
+    for lam_i in lam:                  # the domain types check each value
+        Squeezing(lam_i)
+    for x0_i in x0:
+        AcceptanceWindow.threshold(x0_i)
+    grid = np.ix_(lam, x0)
+    values = _closed_forms(*grid, 1.0, 0.0)
+    if np.isnan(values["Q"]).any():
+        raise UndefinedQError(_UNDEFINED_Q)
+    return _grid_rows({"lam": grid[0], "x0": grid[1], "mean_n": values["mean"],
+                       "Q": values["Q"]})
 
 
 def _fig4_rows(lam, x0, tol) -> list[dict]:
@@ -224,6 +231,8 @@ class _Figure(NamedTuple):
     Inputs are in header order and ``rows`` takes them all by name.  A
     default's type fixes its header form: a tuple in full, an array grid as
     ``[first, last]`` plus ``<name>_points``, else as is (a float takes one value).
+    An overridden array grid is written in full, without ``<name>_points``
+    and without a fixed ``<name>_spacing`` entry.
     """
 
     params: dict
@@ -304,10 +313,13 @@ def build_figure(job: FigureJob) -> tuple[dict, list[str], list[dict]]:
     meta = {"generator": f"quadherald {__version__}", "kind": job.figure_id}
     for name, default in defaults.items():
         value = values[name]
-        if isinstance(default, np.ndarray):
+        grid = name.removesuffix("_spacing")
+        if grid != name and grid in job.overrides:
+            continue                  # describes the default grid, not the given one
+        if isinstance(default, np.ndarray) and name not in job.overrides:
             meta[name] = [float(value[0]), float(value[-1])]
             meta[f"{name}_points"] = len(value)
-        elif isinstance(default, tuple):
+        elif isinstance(default, (tuple, np.ndarray)):
             meta[name] = [float(v) for v in value]
         else:
             meta[name] = value
@@ -318,6 +330,17 @@ def build_figure(job: FigureJob) -> tuple[dict, list[str], list[dict]]:
 # ---------------------------------------------------------------------------
 # serialization (identical field names in both formats)
 # ---------------------------------------------------------------------------
+
+def _json_safe(value):
+    """``value`` with every non-finite float inside it replaced by None (JSON null)."""
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
 
 def _cell(value) -> str:
     """One CSV field: floats as repr, lists and dicts as JSON, None empty.
@@ -330,17 +353,26 @@ def _cell(value) -> str:
         return "true" if value else "false"
     if value is None:
         return ""
-    text = json.dumps(value) if isinstance(value, (list, dict)) else str(value)
+    text = (json.dumps(_json_safe(value)) if isinstance(value, (list, dict))
+            else str(value))
     if "," in text or '"' in text or "\n" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 
 
+def _column(values: list) -> list[str]:
+    """The CSV fields of one column; an all-float column skips :func:`_cell`."""
+    try:
+        return list(map(float.__repr__, values))
+    except TypeError:                 # a str, bool, int, None, list or dict
+        return [_cell(v) for v in values]
+
+
 def format_csv(meta: dict, columns: list[str], rows: list[dict]) -> str:
     lines = [f"# {key}: {json.dumps(value)}" for key, value in meta.items()]
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_cell(row.get(col, "")) for col in columns))
+    fields = [_column([row.get(col, "") for row in rows]) for col in columns]
+    lines.extend(map(",".join, zip(*fields)))
     return "\n".join(lines) + "\n"
 
 

@@ -247,3 +247,26 @@ def oscillator_eigenfunction_mp(n: int, x: float, dps: int = 50) -> float:
         x = mp.mpf(x)
         norm = mp.sqrt(mp.mpf(2) ** n * mp.factorial(n) * mp.sqrt(mp.pi))
         return float(mp.hermite(n, x) * mp.exp(-x * x / 2) / norm)
+
+
+def mandel_q_mp(lam: float, x0: float, eta: float = 1.0, n_bar: float = 0.0,
+                dps: int = 40):
+    """Mandel Q of the heralded state as an mpmath number at ``dps`` digits.
+
+    The closed form with the thermal auxiliary mode reduced to vacuum
+    (eta' = eta / s, x0' = x0 / sqrt(s), s = 1 + 2 n_bar (1 - eta)) and
+    exp(-z^2) / erfc(z) written out, not through erfcx.
+    """
+    with mp.workdps(dps):
+        lam, x0, eta, n_bar = (mp.mpf(v) for v in (lam, x0, eta, n_bar))
+        s = 1 + 2 * n_bar * (1 - eta)
+        eta, x0 = eta / s, x0 / mp.sqrt(s)
+        u, v = 1 - lam, 1 + (2 * eta - 1) * lam
+        z = x0 * mp.sqrt(u / v)
+        common = (2 * eta * x0 * mp.exp(-z * z)
+                  / (mp.sqrt(mp.pi) * mp.sqrt(u * v ** 3) * mp.erfc(z)))
+        mean = lam / u + lam * common
+        second = (2 * lam ** 2 / u ** 2 + lam ** 2 * common
+                  * ((4 - 3 * eta + 4 * (2 * eta - 1) * lam) / (u * v)
+                     + 2 * eta * x0 ** 2 / v ** 2))
+        return (second - mean ** 2) / mean

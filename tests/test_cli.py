@@ -211,15 +211,28 @@ class TestFigure:
     @pytest.mark.parametrize("fig", list(HEADERS))
     def test_generates_schema_valid_csv(self, fig, tmp_path, capsys):
         out = tmp_path / f"{fig}.csv"
-        lam_override = ["--lambda", "0.05,0.2"] if fig in ("fig3", "fig6") \
-            else []
-        code = main(["figure", fig, "--out", str(out)] + lam_override)
+        code = main(["figure", fig, "--out", str(out)])
         assert code == 0
         meta, columns, rows = parse_csv(out.read_text())
         assert meta["kind"] == fig
         assert list(meta) == ["generator", "kind", *self.HEADERS[fig], "columns"]
         assert list(meta["columns"]) == columns
         assert len(rows) > 0
+
+    @pytest.mark.parametrize("fig, flag, given, header", [
+        ("fig2", "--x0", "2,0.5,1", ["lam", "x0"]),
+        ("fig3", "--lambda", "0.5,0.1,0.3", ["q", "lam"]),
+        ("fig6", "--lambda", "0.5,0.1,0.3", ["q", "eta", "lam"]),
+    ])
+    def test_overridden_grid_is_written_in_full(self, fig, flag, given, header, tmp_path):
+        # no [first, last] range, point count or spacing for values a user listed
+        out = tmp_path / f"{fig}.csv"
+        assert main(["figure", fig, flag, given, "--out", str(out)]) == 0
+        meta, _, rows = parse_csv(out.read_text())
+        assert list(meta) == ["generator", "kind", *header, "columns"]
+        name = "x0" if flag == "--x0" else "lam"
+        assert meta[name] == [float(v) for v in given.split(",")]
+        assert [float(row[name]) for row in rows[:3]] == meta[name]
 
     @pytest.mark.parametrize("fig,overrides", [
         ("fig4", {"tol": [1e-9]}),
@@ -316,6 +329,31 @@ def test_csv_cells_match_json(argv, capsys):
                 assert cell == value
             else:
                 assert float(cell) == value
+
+
+def test_csv_json_cells_have_no_nonfinite_literals(capsys):
+    # NaN standard errors (no accepted shot has n > 0 at lam = 0) are null, as in JSON
+    code, out, _ = run(capsys, "montecarlo", "--lambda", "0", "--x0", "1",
+                       "--shots", "2000", "--format", "csv")
+    assert code == 0
+    _, _, rows = parse_csv(out)
+
+    def strict(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    cell = json.loads(rows[0]["standard_errors"], parse_constant=strict)
+    record = json.loads(run(capsys, "montecarlo", "--lambda", "0", "--x0", "1",
+                            "--shots", "2000")[1])
+    assert None in cell.values() and cell == record["standard_errors"]
+
+
+def test_cli_import_leaves_integrate_and_optimize_unloaded():
+    code = ("import sys, quadherald.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.integrate', 'scipy.optimize'))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestMonteCarloCommand:

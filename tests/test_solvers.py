@@ -1,9 +1,17 @@
+import json
+import pathlib
+
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quadherald as qh
+from _oracles import mandel_q_mp
 from quadherald import solvers
+from quadherald.sweeps import FigureJob, build_figure
+
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 
 def thr(x0):
@@ -51,6 +59,9 @@ class TestThresholdForQ:
         rep = qh.solve_threshold_for_mandel_q(qh.Squeezing(0.2), 0.0,
                                               qh.DetectorModel(eta=0.45))
         assert not rep.feasible
+        # doubled from 4 to the cap: 7 doublings, the last one past 256
+        assert rep.bracket == (0.0, 256.0) and rep.solution == 256.0
+        assert rep.iterations == 7 and rep.residual > 0.0
 
     def test_just_above_half_is_feasible(self):
         rep = qh.solve_threshold_for_mandel_q(qh.Squeezing(0.05), 0.0,
@@ -63,6 +74,67 @@ class TestThresholdForQ:
             qh.solve_threshold_for_mandel_q(qh.Squeezing(0.0), 0.0)
         with pytest.raises(ValueError):
             qh.solve_threshold_for_mandel_q(qh.Squeezing(0.3), -1.5)
+
+
+LANES = st.tuples(st.floats(1e-4, 0.999), st.floats(-0.6, 0.3),
+                  st.floats(0.3, 1.0), st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+
+
+class TestLockstepSolver:
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(LANES, min_size=1, max_size=10))
+    def test_a_lane_does_not_depend_on_its_neighbours(self, lanes):
+        lam, q, eta, nbar = (np.array(v) for v in zip(*lanes))
+        together = solvers._threshold_roots(lam, q, eta, nbar)
+        for i, lane in enumerate(lanes):
+            alone = solvers._threshold_roots(lam[i:i + 1], q[i:i + 1], eta[i:i + 1],
+                                             nbar[i:i + 1])
+            scalar = solvers._threshold_roots(*lane)         # numpy scalars
+            for field in solvers._Roots._fields:
+                got = getattr(together, field)[i]
+                assert got == getattr(alone, field)[0] == getattr(scalar, field), field
+
+    @settings(max_examples=25, deadline=None)
+    @given(LANES)
+    def test_public_solver_is_the_one_lane_call(self, lane):
+        lam, q, eta, nbar = lane
+        roots = solvers._threshold_roots(*lane)
+        rep = qh.solve_threshold_for_mandel_q(qh.Squeezing(lam), q,
+                                              qh.DetectorModel(eta=eta, n_bar=nbar))
+        assert (rep.solution, rep.residual, rep.iterations, rep.bracket, rep.feasible) == (
+            roots.x0, roots.residual, roots.iterations, (0.0, roots.x_hi), roots.feasible)
+        if rep.feasible and rep.solution > 0.0:
+            s, d = qh.Squeezing(lam), qh.DetectorModel(eta=eta, n_bar=nbar)
+            assert rep.residual == qh.mandel_q(s, thr(rep.solution), d) - q
+
+    def test_a_lane_that_cannot_converge_raises(self, monkeypatch):
+        # Q is right at the bracket ends (0 and 4) and nan inside: a nan
+        # leaves the bracket as it is, so the loop must end and say so
+        exact, calls = solvers._mandel_q, []
+
+        def nan_inside(mean, second):
+            calls.append(None)
+            return exact(mean, second) * (1.0 if len(calls) <= 2 else np.nan)
+
+        monkeypatch.setattr(solvers, "_mandel_q", nan_inside)
+        with pytest.raises(qh.NonConvergenceError):
+            solvers._threshold_roots(np.array([0.2, 0.3]), -0.1, 1.0, 0.0)
+
+    @pytest.mark.parametrize("fig", ["fig3", "fig6"])
+    def test_contour_feasibility_matches_the_scalar_solver(self, fig):
+        # flags written by the brentq-per-point solver this one replaced
+        expected = json.loads((DATA / "contour_feasible.json").read_text())[fig]
+        rows = build_figure(FigureJob(fig))[2]
+        assert "".join("1" if row["feasible"] else "0" for row in rows) == expected
+
+    @pytest.mark.parametrize("fig", ["fig3", "fig6"])
+    def test_contour_roots_are_accurate_against_mpmath(self, fig):
+        rows = [row for row in build_figure(FigureJob(fig))[2] if row["feasible"]]
+        rng = np.random.default_rng(3)
+        for k in rng.choice(len(rows), 24, replace=False):
+            row = rows[k]
+            q = mandel_q_mp(row["lam"], row["x0_required"], row["eta"])
+            assert abs(float(q - row["q_target"])) <= 1e-12, row
 
 
 class TestMinimumPoissonianThreshold:

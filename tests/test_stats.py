@@ -543,3 +543,59 @@ class TestWeakSqueezingSlope:
             slope = qh.mandel_q_slope_at_zero_squeezing(x0, d)
             quotient = qh.mandel_q(qh.Squeezing(1e-6), thr(x0), d) / 1e-6
             assert slope == pytest.approx(quotient, rel=1e-4, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# broadcast closed forms
+# ---------------------------------------------------------------------------
+
+LAMS = st.one_of(st.just(0.0), st.floats(0.0, 0.999))
+X0S = st.one_of(st.just(0.0), st.floats(0.0, 40.0))
+ETAS = st.floats(0.0, 1.0, exclude_min=True)
+NBARS = st.floats(0.0, 2.0)
+
+
+def scalar_closed_forms(lam, x0, eta, nbar):
+    """C, mean, second factorial moment and Q from the public scalar functions."""
+    s, w, d = qh.Squeezing(lam), thr(x0), qh.DetectorModel(eta=eta, n_bar=nbar)
+    try:
+        q = qh.mandel_q(s, w, d)
+    except qh.UndefinedQError:
+        q = math.nan
+    return (qh.acceptance_probability_imperfect(s, w, d), qh.mean_photon_number(s, w, d),
+            qh.second_factorial_moment(s, w, d), q)
+
+
+class TestBroadcastClosedForms:
+    NAMES = ("C", "mean", "second_factorial", "Q")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(LAMS, X0S, ETAS, NBARS), min_size=1, max_size=12))
+    def test_lanes_equal_scalar_functions_bit_for_bit(self, points):
+        lam, x0, eta, nbar = (np.array(v) for v in zip(*points))
+        values = stats_module._closed_forms(lam, x0, eta, nbar)
+        for i, point in enumerate(points):
+            got = [float(values[name][i]) for name in self.NAMES]
+            assert np.array_equal(got, scalar_closed_forms(*point), equal_nan=True)
+
+    def test_random_lanes_equal_scalar_functions_bit_for_bit(self):
+        # hypothesis favours round values, whose cubes are exact; a 1-ulp
+        # difference in v^3 shows in about one point in seventy
+        rng = np.random.default_rng(11)
+        points = np.column_stack([rng.uniform(0.0, 0.999, 1500), rng.uniform(0.0, 40.0, 1500),
+                                  rng.uniform(0.01, 1.0, 1500), rng.uniform(0.0, 2.0, 1500)])
+        values = stats_module._closed_forms(*points.T)
+        for i, point in enumerate(points.tolist()):
+            got = [float(values[name][i]) for name in self.NAMES]
+            assert np.array_equal(got, scalar_closed_forms(*point), equal_nan=True), point
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(LAMS, min_size=1, max_size=4), st.lists(X0S, min_size=1, max_size=4),
+           st.lists(ETAS, min_size=1, max_size=3), st.lists(NBARS, min_size=1, max_size=3))
+    def test_open_grid_equals_scalar_functions_bit_for_bit(self, lam, x0, eta, nbar):
+        # the sweep's form: (lam, eta, nbar) lanes broadcast against an x0 axis
+        values = stats_module._closed_forms(*np.ix_(lam, x0, eta, nbar))
+        for index in np.ndindex(len(lam), len(x0), len(eta), len(nbar)):
+            point = [grid[k] for grid, k in zip((lam, x0, eta, nbar), index)]
+            got = [float(values[name][index]) for name in self.NAMES]
+            assert np.array_equal(got, scalar_closed_forms(*point), equal_nan=True)
