@@ -5,14 +5,13 @@ detector; runs where the measured quadrature magnitude exceeds a
 threshold herald the other mode (the signal).  This package computes the
 heralded state's photon-number distribution, moments and Mandel Q,
 phase-space profiles, heralding probabilities and the associated
-threshold/optimum problems, together with independent quadrature and
-Monte Carlo verification paths.
+threshold/optimum problems, together with a shot-level Monte Carlo
+simulation that checks them independently.
 """
 
 __version__ = "0.1.0"
 
 from .errors import NonConvergenceError, UndefinedQError
-from .special import oscillator_eigenfunctions
 from .stats import (AcceptanceWindow, ConditionalStatistics, DetectorModel,
                     Squeezing, acceptance_probability_imperfect,
                     fock_acceptance_probabilities_imperfect,
@@ -20,8 +19,7 @@ from .stats import (AcceptanceWindow, ConditionalStatistics, DetectorModel,
                     mean_photon_number, photon_distribution,
                     second_factorial_moment)
 from .phase_space import husimi, wigner
-from .oracles import (MonteCarloResult, fock_acceptance_probability_quadrature,
-                      monte_carlo_experiment)
+from .oracles import MonteCarloResult, monte_carlo_experiment
 from .solvers import (SolveReport, efficiency_threshold,
                       minimum_poissonian_threshold,
                       optimal_squeezing_for_mandel_q,
@@ -30,15 +28,13 @@ from .solvers import (SolveReport, efficiency_threshold,
 __all__ = [
     "__version__",
     "NonConvergenceError", "UndefinedQError",
-    "oscillator_eigenfunctions",
     "Squeezing", "AcceptanceWindow", "DetectorModel", "ConditionalStatistics",
     "acceptance_probability_imperfect",
     "fock_acceptance_probabilities_imperfect",
     "photon_distribution", "mean_photon_number", "second_factorial_moment",
     "mandel_q", "mandel_q_slope_at_zero_squeezing",
     "husimi", "wigner",
-    "MonteCarloResult", "fock_acceptance_probability_quadrature",
-    "monte_carlo_experiment",
+    "MonteCarloResult", "monte_carlo_experiment",
     "SolveReport", "solve_threshold_for_mandel_q",
     "minimum_poissonian_threshold", "optimal_squeezing_for_mandel_q",
     "efficiency_threshold",

@@ -9,6 +9,7 @@ seed), so repeated invocations write byte-identical files.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -194,7 +195,10 @@ def _add_output_flags(parser: argparse.ArgumentParser,
                         default=default_format)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every later call;
+    parsing reads it and returns a fresh namespace, so calls share no state."""
     parser = argparse.ArgumentParser(
         prog="quadherald",
         description="Photon statistics of quadrature-threshold heralded states")
@@ -250,9 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors
         return int(exc.code or 0)
     try:

@@ -1,14 +1,10 @@
-"""Independent verification paths for the analytic pipeline.
+"""Shot-level Monte Carlo simulation of the heralding experiment.
 
-Two routes that share no algebra with the closed forms and the
-generating-function FFT of :mod:`quadherald.stats`:
-
-* direct adaptive quadrature of the defining integrals (per-Fock
-  acceptance probabilities, ideal or efficiency-smeared), and
-* a shot-level Monte Carlo simulation of the heralding experiment.
-
-Cross-checks used only by the test suite (the psi_n recurrence for q_n,
-finite-difference moments, the literal smeared pdf) live beside the
+The check that users can run (``quadherald montecarlo``): it shares no
+algebra with the closed forms and the generating-function FFT of
+:mod:`quadherald.stats`.  Cross-checks used only by the test suite (the
+direct quadrature of q_n and its psi_n table, the psi_n recurrence for
+q_n, finite-difference moments, the literal smeared pdf) live beside the
 tests, in ``tests/_oracles.py``.
 
 Every random value of the Monte Carlo is a uniform: shot i reads Philox
@@ -27,93 +23,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special as _sp
 
-from .errors import NonConvergenceError
-from .special import oscillator_eigenfunctions
 from .stats import AcceptanceWindow, DetectorModel, Squeezing
 
 __all__ = [
     "MonteCarloResult",
-    "fock_acceptance_probability_quadrature",
     "monte_carlo_experiment",
 ]
 
-# accuracy contracts of the quadrature oracle
-_IDEAL_ABS_TOL = 1e-10
-_SMEARED_ABS_TOL = 1e-8
-
-# beyond |x| = sqrt(2n+1) + 15 the n-photon quadrature pdf carries
-# less than ~1e-30 of its mass
-def _support_halfwidth(n: int) -> float:
-    return math.sqrt(2.0 * n + 1.0) + 15.0
-
-
-def _clip_interval(lo: float, hi: float, b: float) -> tuple[float, float] | None:
-    lo, hi = max(lo, -b), min(hi, b)
-    return (lo, hi) if lo < hi else None
-
-
-def fock_acceptance_probability_quadrature(n: int, w: AcceptanceWindow,
-                                           d: DetectorModel | None = None) -> float:
-    """Acceptance probability of the n-photon component by direct quadrature.
-
-    Ideal detector: integrates psi_n(x)^2 over the window.  Imperfect
-    detector: integrates the Gaussian-smeared pdf over the window; the
-    window integral of the smearing kernel is carried out in closed form
-    (a pair of Gaussian tails), leaving one adaptive integral over the
-    pre-detector quadrature.  Supports general interval unions.
-    """
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    from scipy.integrate import quad     # on first use: keeps it off the CLI import
-    d = d or DetectorModel.ideal()
-    b = _support_halfwidth(n)
-    total, err_total = 0.0, 0.0
-
-    if d.eta == 1.0:  # auxiliary mode never reaches the detector
-        for pair in w.as_intervals():
-            clipped = _clip_interval(*pair, b)
-            if clipped is None:
-                continue
-            val, err = quad(lambda x: oscillator_eigenfunctions(x, n)[n] ** 2,
-                            *clipped, epsabs=1e-13, epsrel=1e-13, limit=400)
-            total += val
-            err_total += err
-        if err_total > _IDEAL_ABS_TOL:
-            raise NonConvergenceError(
-                f"quadrature error estimate {err_total:.2e} exceeds "
-                f"{_IDEAL_ABS_TOL} (n = {n}, window = {w})")
-        return total
-
-    sqrt_eta = math.sqrt(d.eta)
-    sigma = math.sqrt((1.0 - d.eta) * (1.0 + 2.0 * d.n_bar) / 2.0)
-    intervals = w.as_intervals()
-
-    def window_mass(xp: float) -> float:
-        # P(measured value in window | pre-detector quadrature xp)
-        mu = sqrt_eta * xp
-        acc = 0.0
-        for lo, hi in intervals:
-            if lo == -math.inf:
-                acc += 0.5 * _sp.erfc((mu - hi) / (math.sqrt(2.0) * sigma))
-            elif hi == math.inf:
-                acc += 0.5 * _sp.erfc((lo - mu) / (math.sqrt(2.0) * sigma))
-            else:
-                acc += 0.5 * (_sp.erf((hi - mu) / (math.sqrt(2.0) * sigma))
-                              - _sp.erf((lo - mu) / (math.sqrt(2.0) * sigma)))
-        return acc
-
-    val, err = quad(lambda xp: oscillator_eigenfunctions(xp, n)[n] ** 2 * window_mass(xp),
-                    -b, b, epsabs=1e-11, epsrel=1e-11, limit=400)
-    if err > _SMEARED_ABS_TOL:
-        raise NonConvergenceError(
-            f"smeared quadrature error estimate {err:.2e} exceeds "
-            f"{_SMEARED_ABS_TOL} (n = {n}, window = {w}, detector = {d})")
-    return val
-
-
-# ---------------------------------------------------------------------------
-# Monte Carlo simulation of the heralding experiment
-# ---------------------------------------------------------------------------
 
 # shots per chunk; the result does not depend on it
 _CHUNK_SHOTS = 1 << 15

@@ -1,11 +1,12 @@
 """Threshold and optimization problems built on the closed-form statistics.
 
-One lockstep root-finder solves the threshold that reaches a target
-Mandel Q on many (lam, q, eta, n_bar) lanes at once; a single threshold
-is a one-lane call.  A scan and nested grids, each grid one lockstep
-call, find the squeezing that maximizes the heralding probability along
-a fixed-Q contour.  The weak-squeezing threshold floor is a root of the
-closed-form slope of Q.
+One lockstep root-finder (ITP) serves every root here.  It solves the
+threshold that reaches a target Mandel Q on many (lam, q, eta, n_bar)
+lanes at once; a single threshold is a one-lane call.  A scan and nested
+grids, each grid one lockstep call, find the squeezing that maximizes
+the heralding probability along a fixed-Q contour.  The weak-squeezing
+threshold floor is the root of the closed-form slope of Q, a one-lane
+call as well.
 """
 
 from __future__ import annotations
@@ -67,15 +68,54 @@ class _Roots(NamedTuple):
     feasible: np.ndarray
 
 
+def _itp(f, a, b, fa, fb):
+    """Narrow the brackets [a, b] with f(a) > 0 > f(b) to two ulps, lane by lane.
+
+    ITP (Oliveira & Takahashi, ACM TOMS 47, 2020; k1 = 0.2 / (b - a),
+    k2 = 2, n0 = 4) on the broadcast lanes of the inputs; a lane without a
+    strict sign change is left as it is.  Steps are elementwise and a done
+    lane is frozen, so no lane depends on the others.  Returns the final
+    (a, fa, b, fb) and the steps taken per lane.
+    """
+    active = np.logical_and(fa > 0.0, fb < 0.0)
+    steps = np.zeros(np.shape(active), dtype=int)[()]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # eps = (b - a) 2^-55 gives n_1/2 = 54; n0 = 4 leaves slack for the
+        # slow first regula falsi steps (with n0 = 1 some lanes fall back to
+        # 50 bisection steps)
+        eps, k1, n_max = (b - a) * 2.0 ** -55, 0.2 / (b - a), 54 + 4
+        for j in range(2 * n_max):      # ITP is bisection once j > n_max
+            if not active.any():
+                break
+            # ITP step: regula falsi, truncated by k1 w^2 towards the midpoint,
+            # projected into the minmax radius around it
+            width, mid = b - a, 0.5 * (a + b)
+            gap = mid - (fa * b - fb * a) / (fa - fb)
+            radius = eps * 2.0 ** (n_max - j) - 0.5 * width
+            shift = abs(gap) - k1 * width * width
+            shift = _where(shift < radius, _where(shift > 0.0, shift, 0.0),
+                           _where(radius > 0.0, radius, 0.0))
+            x = mid - np.sign(gap) * shift
+            # at a few ulps the step can round onto an end: bisect instead
+            x = _where((a < x) & (x < b), x, mid)
+            fx = f(x)
+            up, down = active & (fx >= 0.0), active & (fx <= 0.0)
+            a, fa = _where(up, x, a), _where(up, fx, fa)
+            b, fb = _where(down, x, b), _where(down, fx, fb)
+            steps = steps + active
+            active &= b - a > 2.0 * _EPS * b
+    if active.any():                       # a nan f never shrinks its bracket
+        raise NonConvergenceError("the root-finder did not converge on every lane")
+    return a, fa, b, fb, steps
+
+
 def _threshold_roots(lam, q_target, eta, n_bar) -> _Roots:
     """Thresholds x0 with Q(lam, x0) = q_target on the broadcast lanes.
 
     Q falls monotonically in x0 from lam/(1-lam) at x0 = 0, so a sign
     change over [0, x_hi], x_hi doubled from 4 up to ``_X0_CAP``, brackets
-    the root.  ITP (Oliveira & Takahashi, ACM TOMS 47, 2020; k1 = 0.2 / x_hi,
-    k2 = 2, n0 = 4) shrinks each bracket to two ulps; the end with the
-    smaller |Q - q_target| is the root.  Steps are elementwise and a done
-    lane is frozen, so no lane depends on the others.
+    the root.  :func:`_itp` shrinks each bracket to two ulps; the end with
+    the smaller |Q - q_target| is the root.
     """
     # a one-lane call of floats runs on numpy scalars, not on arrays
     lam, q_target, eta, n_bar = (v[()] for v in np.broadcast_arrays(
@@ -105,37 +145,10 @@ def _threshold_roots(lam, q_target, eta, n_bar) -> _Roots:
     feasible = (fa == 0.0) | ((fa > 0.0) & (fb <= 0.0))
 
     x_hi = b
-    active = feasible & (fb < 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # eps = x_hi 2^-55 gives n_1/2 = 54; n0 = 4 leaves slack for the
-        # slow first regula falsi steps (with n0 = 1 some lanes fall back to
-        # 50 bisection steps)
-        eps, k1, n_max = x_hi * 2.0 ** -55, 0.2 / x_hi, 54 + 4
-        for j in range(2 * n_max):      # ITP is bisection once j > n_max
-            if not active.any():
-                break
-            # ITP step: regula falsi, truncated by k1 w^2 towards the midpoint,
-            # projected into the minmax radius around it
-            width, mid = b - a, 0.5 * (a + b)
-            gap = mid - (fa * b - fb * a) / (fa - fb)
-            radius = eps * 2.0 ** (n_max - j) - 0.5 * width
-            shift = abs(gap) - k1 * width * width
-            shift = _where(shift < radius, _where(shift > 0.0, shift, 0.0),
-                           _where(radius > 0.0, radius, 0.0))
-            x = mid - np.sign(gap) * shift
-            # at a few ulps the step can round onto an end: bisect instead
-            x = _where((a < x) & (x < b), x, mid)
-            fx = f(x)
-            up, down = active & (fx >= 0.0), active & (fx <= 0.0)
-            a, fa = _where(up, x, a), _where(up, fx, fa)
-            b, fb = _where(down, x, b), _where(down, fx, fb)
-            iterations = iterations + active
-            active &= b - a > 2.0 * _EPS * b
-    if active.any():                       # a nan Q never shrinks its bracket
-        raise NonConvergenceError("the threshold solver did not converge on every lane")
+    a, fa, b, fb, steps = _itp(f, a, b, fa, fb)
     pick_a = feasible & (np.abs(fa) < np.abs(fb))
     return _Roots(x0=_where(pick_a, a, b), residual=_where(pick_a, fa, fb),
-                  iterations=iterations, x_hi=x_hi, feasible=feasible)
+                  iterations=iterations + steps, x_hi=x_hi, feasible=feasible)
 
 
 def solve_threshold_for_mandel_q(s: Squeezing, q_target: float,
@@ -155,7 +168,8 @@ def minimum_poissonian_threshold() -> SolveReport:
     """Smallest threshold reaching Poissonian statistics as squeezing -> 0.
 
     Root of Q's slope in lam at lam -> 0 (ideal detector) on [0, 2]; the
-    root is unique there (verified by a sign scan) and evaluates to 0.4248.
+    root is unique there (verified by a sign scan), the lockstep ITP
+    narrows the scan's bracket to two ulps, and it evaluates to 0.4248.
     """
     slope = mandel_q_slope_at_zero_squeezing
     grid = np.linspace(0.0, 2.0, 81)
@@ -164,11 +178,12 @@ def minimum_poissonian_threshold() -> SolveReport:
     if len(changes) != 1:
         raise NonConvergenceError(
             f"expected exactly one sign change on [0, 2], found {len(changes)}")
+    # slope(0) = 1, so the one sign change falls from + to -, as _itp needs
     lo, hi = grid[changes[0]], grid[changes[0] + 1]
-    from scipy.optimize import brentq     # on first use: keeps it off the CLI import
-    root, res = brentq(slope, lo, hi, xtol=1e-14, full_output=True)
-    return SolveReport(solution=float(root), residual=slope(float(root)),
-                       iterations=res.iterations, bracket=(float(lo), float(hi)),
+    a, fa, b, fb, steps = _itp(slope, lo, hi, slope(lo), slope(hi))
+    root, residual = (a, fa) if abs(fa) < abs(fb) else (b, fb)
+    return SolveReport(solution=float(root), residual=float(residual),
+                       iterations=int(steps), bracket=(float(lo), float(hi)),
                        feasible=True)
 
 
@@ -227,6 +242,8 @@ def efficiency_threshold(n_bar: float) -> float:
     Equals (1 + 2 n_bar) / (2 + 2 n_bar): 1/2 for a vacuum auxiliary
     mode, approaching 1 as the auxiliary mode heats up.
     """
-    if not (np.isfinite(n_bar) and n_bar >= 0.0):
-        raise ValueError(f"n_bar must be nonnegative, got {n_bar!r}")
+    # 2 n_bar finite, as DetectorModel requires: 1e308 would give inf / inf
+    if not (0.0 <= 2.0 * n_bar < math.inf):
+        raise ValueError(
+            f"n_bar must be nonnegative with 2 n_bar finite, got {n_bar!r}")
     return (1.0 + 2.0 * n_bar) / (2.0 + 2.0 * n_bar)

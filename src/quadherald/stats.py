@@ -12,8 +12,10 @@ where q_n is the probability that the idler quadrature of the n-photon
 component falls in the acceptance region and C is the overall acceptance
 probability.  Everything in this module is closed-form or a discrete
 Fourier transform of a closed form, with one function per quantity that
-serves every detector; independent integral and Monte Carlo checks live
-in :mod:`quadherald.oracles`.
+serves every detector.  The shot-level Monte Carlo of
+:mod:`quadherald.oracles` checks it independently; the direct quadrature
+of q_n over the window, and the other checks that only the test suite
+runs, live in ``tests/_oracles.py``.
 
 Numerical notes
 ---------------
@@ -108,7 +110,7 @@ class AcceptanceWindow:
 
     The analytic pipeline handles the threshold form, |x| > x0.  A general
     union of disjoint intervals may be attached instead, but only the
-    quadrature/Monte Carlo oracles accept it.
+    Monte Carlo simulation accepts it.
     """
 
     x0: float | None = None
@@ -150,12 +152,6 @@ class AcceptanceWindow:
                 "module; the analytic pipeline needs a threshold window"
             )
         return self.x0
-
-    def as_intervals(self) -> tuple[tuple[float, float], ...]:
-        """The acceptance region as sorted disjoint intervals."""
-        if self.is_threshold:
-            return ((-math.inf, -self.x0), (self.x0, math.inf))
-        return self.general_intervals
 
     def contains(self, x):
         """Vectorized membership test."""

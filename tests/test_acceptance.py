@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import quadherald as qh
-from _oracles import moment_via_generating_function
+from _oracles import (fock_acceptance_quadrature, moment_via_generating_function,
+                      threshold_window)
 from quadherald.cli import main
 from quadherald.sweeps import _CONTOUR_LAMS
 
@@ -67,14 +68,13 @@ def test_03_weak_squeezing_probability():
 
 
 def test_04_recurrence_vs_quadrature_oracle():
-    with _Criterion(4, 30.0):
+    with _Criterion(4, 3.0):
         thresholds = (0.0, 0.5, 1.0, 2.0, 3.0)
         worst_ideal = 0.0
         for x0 in thresholds:
             q = qh.fock_acceptance_probabilities_imperfect(30, x0)
-            for n in range(31):
-                direct = qh.fock_acceptance_probability_quadrature(n, thr(x0))
-                worst_ideal = max(worst_ideal, abs(direct - q[n]))
+            direct, _ = fock_acceptance_quadrature(30, threshold_window(x0))
+            worst_ideal = max(worst_ideal, np.max(np.abs(direct - q)))
         assert worst_ideal <= 1e-9
 
         worst_imperfect = 0.0
@@ -82,10 +82,8 @@ def test_04_recurrence_vs_quadrature_oracle():
             d = qh.DetectorModel(eta=eta)
             for x0 in thresholds:
                 q = qh.fock_acceptance_probabilities_imperfect(20, x0, d)
-                for n in range(21):
-                    direct = qh.fock_acceptance_probability_quadrature(
-                        n, thr(x0), d)
-                    worst_imperfect = max(worst_imperfect, abs(direct - q[n]))
+                direct, _ = fock_acceptance_quadrature(20, threshold_window(x0), eta)
+                worst_imperfect = max(worst_imperfect, np.max(np.abs(direct - q)))
         assert worst_imperfect <= 1e-8
 
 

@@ -154,6 +154,19 @@ class TestSweep:
                                        qh.AcceptanceWindow.threshold(2.0))
         assert float(rows[0]["p_3"]) == float(stats.p[3])
 
+    def test_calls_share_no_flags(self, tmp_path, capsys):
+        # the parser is built once per process; the grid flags of one call
+        # must not reach the next, where --spec would refuse them
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"lam": [0.3], "x0": [0.0, 1.0]}))
+        first = run(capsys, "sweep", "--lambda", "0.1,0.2", "--x0", "2",
+                    "--quantities", "C")
+        second = run(capsys, "sweep", "--spec", str(path))
+        assert (first[0], second[0]) == (0, 0)
+        _, _, rows = parse_csv(second[1])
+        assert [(float(r["lam"]), float(r["x0"])) for r in rows] == \
+            [(0.3, 0.0), (0.3, 1.0)]
+
     def test_quantities_with_radii(self, capsys):
         code, out, _ = run(capsys, "sweep", "--lambda", "0.25", "--x0", "2",
                            "--quantities", "husimi,wigner", "--radii", "0,1,2")
@@ -348,7 +361,9 @@ def test_csv_json_cells_have_no_nonfinite_literals(capsys):
 
 
 def test_cli_import_leaves_integrate_and_optimize_unloaded():
-    code = ("import sys, quadherald.cli; "
+    # the package has one root-finder of its own and no quadrature
+    code = ("import sys, quadherald, quadherald.cli; "
+            "quadherald.minimum_poissonian_threshold(); "
             "print(sorted(m for m in sys.modules "
             "if m.startswith(('scipy.integrate', 'scipy.optimize'))))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -392,6 +407,11 @@ class TestSolveCommand:
     def test_eta_threshold(self, capsys):
         code, out, _ = run(capsys, "solve", "eta-threshold", "--nbar", "0")
         assert code == 0 and json.loads(out)["solution"] == 0.5
+
+    def test_eta_threshold_with_overflowing_nbar_exits_2(self, capsys):
+        # 2 n_bar = inf made the solution nan, printed as null with exit 0
+        code, out, err = run(capsys, "solve", "eta-threshold", "--nbar", "1e308")
+        assert code == 2 and out == "" and err.startswith("error: ")
 
     def test_x0_for_q(self, capsys):
         code, out, _ = run(capsys, "solve", "x0-for-q", "--lambda", "0.25",

@@ -7,8 +7,9 @@ from scipy.integrate import quad
 from scipy.stats import chisquare, kstest
 
 import quadherald as qh
-from _oracles import (fock_acceptance_recurrence, fock_smeared_quadrature_pdf,
-                      gaussian_tail_two_sided)
+from _oracles import (fock_acceptance_quadrature, fock_acceptance_recurrence,
+                      fock_smeared_quadrature_pdf, gaussian_tail_two_sided,
+                      oscillator_eigenfunctions, threshold_window)
 from quadherald import oracles
 from quadherald.oracles import _log_mehler, _quadratures, _sample_orders, \
     _shot_uniforms
@@ -22,47 +23,43 @@ def thr(x0):
 
 
 class TestQuadratureOracle:
+    """The composite Gauss-Legendre oracle of the test suite, against the package."""
+
     def test_full_line_normalization(self):
-        w = qh.AcceptanceWindow.from_intervals([(-math.inf, math.inf)])
-        assert qh.fock_acceptance_probability_quadrature(3, w) == \
-            pytest.approx(1.0, abs=1e-10)
+        q, _ = fock_acceptance_quadrature(3, ((-math.inf, math.inf),))
+        assert q[3] == pytest.approx(1.0, abs=1e-10)
 
     def test_first_order_closed_form(self):
-        assert qh.fock_acceptance_probability_quadrature(1, thr(1.0)) == \
-            pytest.approx(0.57240670447087983, abs=1e-10)
+        q, _ = fock_acceptance_quadrature(1, threshold_window(1.0))
+        assert q[1] == pytest.approx(0.57240670447087983, abs=1e-10)
 
     @pytest.mark.parametrize("x0", [0.0, 0.5, 1.0, 2.0])
     def test_ideal_matches_recurrence(self, x0):
-        q = fock_acceptance_recurrence(12, x0)
-        for n in range(13):
-            direct = qh.fock_acceptance_probability_quadrature(n, thr(x0))
-            assert abs(direct - q[n]) <= 1e-9
+        direct, err = fock_acceptance_quadrature(12, threshold_window(x0))
+        assert err <= 1e-12
+        assert np.max(np.abs(direct - fock_acceptance_recurrence(12, x0))) <= 1e-9
 
     def test_imperfect_matches_recurrence(self):
-        d = qh.DetectorModel(eta=0.8)
-        q = qh.fock_acceptance_probabilities_imperfect(8, 1.0, d)
-        for n in range(9):
-            direct = qh.fock_acceptance_probability_quadrature(n, thr(1.0), d)
-            assert abs(direct - q[n]) <= 1e-8
+        q = qh.fock_acceptance_probabilities_imperfect(8, 1.0, qh.DetectorModel(eta=0.8))
+        direct, _ = fock_acceptance_quadrature(8, threshold_window(1.0), eta=0.8)
+        assert np.max(np.abs(direct - q)) <= 1e-8
 
     def test_thermal_auxiliary_matches_reduced_recurrence(self):
         # native smeared integral with n_bar > 0 vs the reduction used by
         # the analytic path
         d = qh.DetectorModel(eta=0.75, n_bar=0.6)
         q = qh.fock_acceptance_probabilities_imperfect(10, 1.2, d)
-        for n in (0, 1, 2, 5, 10):
-            direct = qh.fock_acceptance_probability_quadrature(n, thr(1.2), d)
-            assert abs(direct - q[n]) <= 1e-8
+        direct, _ = fock_acceptance_quadrature(10, threshold_window(1.2), 0.75, 0.6)
+        assert np.max(np.abs(direct - q)) <= 1e-8
 
     def test_general_interval_union(self):
-        w = qh.AcceptanceWindow.from_intervals([(-1.0, 0.5), (2.0, math.inf)])
         n = 4
+        direct, _ = fock_acceptance_quadrature(n, ((-1.0, 0.5), (2.0, math.inf)))
         # semi-analytic reference from threshold-form tails:
         # F(x) = 1 - q(|x|)/2 for x >= 0 and q(|x|)/2 for x < 0
         q_at = lambda x: qh.fock_acceptance_probabilities_imperfect(n, x)[n]
         expected = ((1.0 - q_at(0.5) / 2.0) - q_at(1.0) / 2.0) + q_at(2.0) / 2.0
-        direct = qh.fock_acceptance_probability_quadrature(n, w)
-        assert direct == pytest.approx(expected, abs=1e-9)
+        assert direct[n] == pytest.approx(expected, abs=1e-9)
 
     def test_smeared_pdf_normalizes(self):
         total, _ = quad(lambda x: fock_smeared_quadrature_pdf(2, x, 0.8, 0.3),
@@ -72,31 +69,36 @@ class TestQuadratureOracle:
     @pytest.mark.parametrize("n,x0,eta,nbar", [(2, 1.0, 0.8, 0.0),
                                                (5, 0.5, 0.6, 0.3)])
     def test_closed_window_mass_matches_double_integral(self, n, x0, eta, nbar):
-        # the production oracle integrates the window in closed Gaussian
-        # form; the literal nested double integral must agree
-        d = qh.DetectorModel(eta=eta, n_bar=nbar)
+        # the oracle integrates the window in closed Gaussian form; the
+        # literal nested double integral must agree
         b = math.sqrt(2 * n + 1) + 15.0
         tail, _ = quad(lambda x: fock_smeared_quadrature_pdf(n, x, eta, nbar),
                        x0, b, limit=200, epsabs=1e-10)
         nested = 2.0 * tail
-        swapped = qh.fock_acceptance_probability_quadrature(n, thr(x0), d)
-        assert nested == pytest.approx(swapped, abs=1e-8)
+        swapped, _ = fock_acceptance_quadrature(n, threshold_window(x0), eta, nbar)
+        assert nested == pytest.approx(swapped[n], abs=1e-8)
 
     def test_where_the_psi_seed_underflows(self):
         # psi_0(x) underflows for |x| > 38.6, so the whole window is there
-        direct = qh.fock_acceptance_probability_quadrature(850, thr(40.0))
+        direct, _ = fock_acceptance_quadrature(850, threshold_window(40.0))
         q = qh.fock_acceptance_probabilities_imperfect(850, 40.0)
-        assert direct == pytest.approx(q[850], abs=1e-12)
-        assert direct > 0.15
+        assert direct[850] == pytest.approx(q[850], abs=1e-12)
+        assert direct[850] > 0.15
 
-    def test_rejects_negative_order(self):
-        with pytest.raises(ValueError):
-            qh.fock_acceptance_probability_quadrature(-1, thr(1.0))
+    def test_ten_thousand_photons_beyond_the_seed_underflow(self):
+        # q_10000(40) = 0.8174374305198179 by the FFT; the plain psi_n
+        # recurrence gives 0 there
+        direct, err = fock_acceptance_quadrature(10_000, threshold_window(40.0))
+        q = qh.fock_acceptance_probabilities_imperfect(10_000, 40.0)
+        print(f"halving error estimate {err:.2e}, "
+              f"largest |q - q_fft| {np.max(np.abs(direct - q)):.2e}")
+        assert err <= 1e-12
+        assert np.max(np.abs(direct - q)) <= 1e-12
 
 
 def fock_weights(x, lam, n_max):
-    """lam^n psi_n(x)^2 / M(x) for n <= n_max, psi_n from the plain table."""
-    psi = qh.oscillator_eigenfunctions(x, n_max)
+    """lam^n psi_n(x)^2 / M(x) for n <= n_max."""
+    psi = oscillator_eigenfunctions(x, n_max)
     return lam ** np.arange(n_max + 1) * psi * psi / math.exp(_log_mehler(x, lam))
 
 
@@ -138,7 +140,7 @@ class TestFockSampler:
                                        (-6.0, 0.97), (20.0, 0.9)])
     def test_mehler_normalizer(self, x, lam):
         direct = math.fsum(lam ** np.arange(3001)
-                           * qh.oscillator_eigenfunctions(x, 3000) ** 2)
+                           * oscillator_eigenfunctions(x, 3000) ** 2)
         assert math.exp(_log_mehler(x, lam)) == pytest.approx(direct, rel=1e-12)
 
     def test_conditional_moments_where_the_seed_underflows(self):

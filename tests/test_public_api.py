@@ -14,11 +14,10 @@ PUBLIC_NAMES = [
     "MonteCarloResult", "NonConvergenceError", "SolveReport", "Squeezing",
     "UndefinedQError", "__version__", "acceptance_probability_imperfect",
     "efficiency_threshold", "fock_acceptance_probabilities_imperfect",
-    "fock_acceptance_probability_quadrature",
     "husimi", "mandel_q", "mandel_q_slope_at_zero_squeezing",
     "mean_photon_number", "minimum_poissonian_threshold",
     "monte_carlo_experiment", "optimal_squeezing_for_mandel_q",
-    "oscillator_eigenfunctions", "photon_distribution",
+    "photon_distribution",
     "second_factorial_moment", "solve_threshold_for_mandel_q", "wigner",
 ]
 

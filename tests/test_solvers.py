@@ -1,6 +1,8 @@
 import json
+import math
 import pathlib
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,6 +146,17 @@ class TestMinimumPoissonianThreshold:
         assert rep.solution == pytest.approx(0.4248, abs=1e-4)
         assert abs(rep.residual) <= 1e-10
 
+    def test_root_within_two_ulps_of_extended_precision(self):
+        # the ideal-detector slope, 1 - g + 2 g x^2 - g^2 with
+        # g = 2 x / (sqrt(pi) erfcx(x)), solved at 50 digits
+        with mp.workdps(50):
+            def slope(x):
+                g = 2 * x / (mp.sqrt(mp.pi) * mp.erfc(x) * mp.exp(x * x))
+                return 1 - g + 2 * g * x * x - g * g
+            root = mp.findroot(slope, 0.4248)
+            error = float(mp.mpf(qh.minimum_poissonian_threshold().solution) - root)
+        assert abs(error) <= 2 * np.spacing(0.4248)
+
     def test_q_vanishes_at_floor_for_weak_squeezing(self):
         rep = qh.minimum_poissonian_threshold()
         q = qh.mandel_q(qh.Squeezing(1e-4), thr(rep.solution))
@@ -220,3 +233,11 @@ class TestEfficiencyThreshold:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             qh.efficiency_threshold(-0.1)
+
+    @pytest.mark.parametrize("nbar", [1e308, math.inf, math.nan])
+    def test_rejects_n_bar_whose_double_overflows(self, nbar):
+        # the rule DetectorModel applies; 1e308 gave inf / inf = nan
+        with pytest.raises(ValueError):
+            qh.efficiency_threshold(nbar)
+        with pytest.raises(ValueError):
+            qh.DetectorModel(eta=0.5, n_bar=nbar)

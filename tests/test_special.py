@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import quad, quad_vec
 
 import quadherald as qh
-from _oracles import (erf_oracle, gaussian_tail_two_sided,
-                      oscillator_eigenfunction_mp, psi_exact)
+from _oracles import (erf_oracle, fock_acceptance_quadrature, gaussian_tail_two_sided,
+                      oscillator_eigenfunction_mp, oscillator_eigenfunctions, psi_exact,
+                      threshold_window)
 
 
 def thr(x0):
@@ -69,12 +70,14 @@ class TestErf:
 
 
 class TestOscillatorEigenfunctions:
+    """The exponent-carrying psi_n table of the test oracles."""
+
     def test_ground_state_at_origin(self):
-        table = qh.oscillator_eigenfunctions(0.0, 0)
+        table = oscillator_eigenfunctions(0.0, 0)
         assert table[0] == pytest.approx(math.pi ** -0.25, abs=1e-15)
 
     def test_first_excited_vanishes_at_origin(self):
-        assert qh.oscillator_eigenfunctions(0.0, 1)[1] == 0.0
+        assert oscillator_eigenfunctions(0.0, 1)[1] == 0.0
 
     def test_table_matches_exact_hermite_oracle(self):
         # frozen from the exact integer-coefficient oracle at x = 13/10
@@ -82,66 +85,59 @@ class TestOscillatorEigenfunctions:
                     0.54299477907426907, 0.092023768909419683,
                     -0.38565545246658315, -0.39939146281375073,
                     0.052288252096856967, 0.40609866425190538]
-        table = qh.oscillator_eigenfunctions(1.3, 7)
+        table = oscillator_eigenfunctions(1.3, 7)
         assert table == pytest.approx(expected, rel=1e-13)
 
     @given(st.integers(0, 40),
            st.floats(-8.0, 8.0, allow_nan=False))
     def test_exact_oracle_agreement(self, n, x):
         xf = Fraction(x).limit_denominator(10 ** 6)
-        value = qh.oscillator_eigenfunctions(float(xf), n)[n]
+        value = oscillator_eigenfunctions(float(xf), n)[n]
         assert value == pytest.approx(psi_exact(n, xf), rel=1e-11, abs=1e-13)
 
     @given(st.floats(-10.0, 10.0, allow_nan=False), st.integers(0, 60))
     def test_parity_exact(self, x, n_max):
-        plus = qh.oscillator_eigenfunctions(x, n_max)
-        minus = qh.oscillator_eigenfunctions(-x, n_max)
+        plus = oscillator_eigenfunctions(x, n_max)
+        minus = oscillator_eigenfunctions(-x, n_max)
         signs = (-1.0) ** np.arange(n_max + 1)
         assert np.array_equal(minus, signs * plus)
 
     @pytest.mark.parametrize("n", [0, 3, 10])
     def test_squared_normalization(self, n):
-        val, _ = quad(lambda x: qh.oscillator_eigenfunctions(x, n)[n] ** 2,
+        val, _ = quad(lambda x: oscillator_eigenfunctions(x, n)[n] ** 2,
                       -20, 20, limit=200)
         assert val == pytest.approx(1.0, abs=1e-10)
 
     def test_orthonormality(self):
-        for m in range(11):
-            for n in range(m, 11):
-                val, _ = quad(
-                    lambda x: (qh.oscillator_eigenfunctions(x, n)[m]
-                               * qh.oscillator_eigenfunctions(x, n)[n]),
-                    -20, 20, limit=200)
-                assert val == pytest.approx(1.0 if m == n else 0.0, abs=1e-9)
+        def products(x):
+            psi = oscillator_eigenfunctions(x, 10)
+            return np.outer(psi, psi)
+
+        gram, _ = quad_vec(products, -20, 20, epsabs=1e-12)
+        assert np.max(np.abs(gram - np.eye(11))) <= 1e-9
 
     def test_high_order_stays_finite(self):
         grid = np.linspace(-10.0, 10.0, 41)
-        table = qh.oscillator_eigenfunctions(grid, 500)
+        table = oscillator_eigenfunctions(grid, 500)
         assert np.all(np.isfinite(table))
 
     @pytest.mark.parametrize("n", [1100, 1200])
     def test_beyond_the_seed_underflow(self, n):
         # psi_0(45) = 1.4e-440 is below the double range; psi_n(45) is not
-        table = qh.oscillator_eigenfunctions(np.array([45.0, -45.0]), n)
+        table = oscillator_eigenfunctions(np.array([45.0, -45.0]), n)
         expected = oscillator_eigenfunction_mp(n, 45.0)
         assert table[n, 0] == pytest.approx(expected, abs=1e-13)
         assert table[n, 1] == (-1) ** n * table[n, 0]
         assert table[0, 0] == 0.0
 
     def test_far_points_give_zero(self):
-        table = qh.oscillator_eigenfunctions(np.array([1e200, -3e5]), 40)
+        table = oscillator_eigenfunctions(np.array([1e200, -3e5]), 40)
         assert np.array_equal(table, np.zeros_like(table))
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            qh.oscillator_eigenfunctions(0.0, -1)
-        with pytest.raises(ValueError):
-            qh.oscillator_eigenfunctions(math.nan, 3)
 
 
 def fock_quadrature_pdf(n, x):
-    # the integrand of the quadrature oracle's ideal-detector branch
-    return qh.oscillator_eigenfunctions(x, n)[n] ** 2
+    # the integrand of the quadrature oracle for an ideal detector
+    return oscillator_eigenfunctions(x, n)[n] ** 2
 
 
 class TestFockQuadraturePdf:
@@ -162,12 +158,8 @@ class TestFockQuadraturePdf:
     @pytest.mark.parametrize("n", [5, 50])
     def test_normalization(self, n):
         # the oracle integrates psi_n^2 over |x| > 0, i.e. the whole line
-        val = qh.fock_acceptance_probability_quadrature(n, thr(0.0))
-        assert val == pytest.approx(1.0, abs=1e-10)
-
-    def test_rejects_negative_order(self):
-        with pytest.raises(ValueError):
-            qh.fock_acceptance_probability_quadrature(-2, thr(0.0))
+        q, _ = fock_acceptance_quadrature(n, threshold_window(0.0))
+        assert q[n] == pytest.approx(1.0, abs=1e-10)
 
 
 class TestGaussianTail:

@@ -42,7 +42,6 @@ class TestTypes:
     def test_window_threshold(self):
         w = thr(1.5)
         assert w.is_threshold and w.x0 == 1.5
-        assert w.as_intervals() == ((-math.inf, -1.5), (1.5, math.inf))
         assert list(w.contains(np.array([-2.0, 0.0, 1.6]))) == [True, False, True]
 
     def test_window_intervals(self):
