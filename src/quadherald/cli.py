@@ -24,7 +24,7 @@ from .solvers import (efficiency_threshold, minimum_poissonian_threshold,
 from .stats import (AcceptanceWindow, DetectorModel, Squeezing,
                     acceptance_probability_imperfect, mandel_q,
                     mean_photon_number, photon_distribution)
-from .sweeps import (FigureJob, SweepSpec, _json_safe, build_figure, format_csv,
+from .sweeps import (FigureJob, SweepSpec, _json_safe, _Table, build_figure, format_csv,
                      format_json, run_sweep, FIGURE_IDS)
 
 USAGE_ERROR, NONCONVERGENCE_ERROR = 2, 3
@@ -56,8 +56,8 @@ def _emit_record(record: dict, fmt: str, out: str | None) -> None:
     if fmt == "json":
         _emit(json.dumps(_json_safe(record), indent=2) + "\n", out)
     else:
-        meta = {"generator": f"quadherald {__version__}"}
-        _emit(format_csv(meta, list(record), [record]), out)
+        table = _Table({key: [value] for key, value in record.items()})
+        _emit(format_csv({"generator": f"quadherald {__version__}"}, [*record], table), out)
 
 
 def _detector(args) -> DetectorModel:
@@ -74,12 +74,9 @@ def _cmd_stats(args) -> int:
     record = {
         "lambda": args.lam, "x0": args.x0, "eta": args.eta, "nbar": args.nbar,
         "tol": args.tol,
-        "acceptance_probability": stats.acceptance_probability,
-        "mean_n": stats.mean_n,
-        "second_factorial": stats.second_factorial,
-        "mandel_q": stats.mandel_q,
-        "n_max": stats.n_max,
-        "truncation_error_bound": stats.truncation_error_bound,
+        **{name: getattr(stats, name) for name in (
+            "acceptance_probability", "mean_n", "second_factorial", "mandel_q", "n_max",
+            "truncation_error_bound")},
     }
     if args.pn:
         record["p"] = [float(v) for v in stats.p]
@@ -150,25 +147,20 @@ def _zscore(empirical: float, analytic: float, se: float) -> float:
 def _cmd_solve(args) -> int:
     record = {"kind": args.kind}
     if args.kind == "x0-min":
-        report = minimum_poissonian_threshold()
-        record.update(report.to_dict())
+        record.update(minimum_poissonian_threshold().to_dict())
     elif args.kind == "eta-threshold":
-        record["nbar"] = args.nbar
-        record["solution"] = efficiency_threshold(args.nbar)
+        record.update(nbar=args.nbar, solution=efficiency_threshold(args.nbar))
     elif args.kind == "x0-for-q":
         if args.lam is None or args.q is None:
             raise ValueError("solve x0-for-q needs --lambda and --q")
-        record.update({"lambda": args.lam, "q": args.q,
-                       "eta": args.eta, "nbar": args.nbar})
-        report = solve_threshold_for_mandel_q(Squeezing(args.lam), args.q,
-                                              _detector(args))
-        record.update(report.to_dict())
+        record.update({"lambda": args.lam, "q": args.q, "eta": args.eta, "nbar": args.nbar})
+        record.update(solve_threshold_for_mandel_q(Squeezing(args.lam), args.q,
+                                                   _detector(args)).to_dict())
     else:  # optimal-lambda
         if args.q is None:
             raise ValueError("solve optimal-lambda needs --q")
         record.update({"q": args.q, "eta": args.eta, "nbar": args.nbar})
-        report = optimal_squeezing_for_mandel_q(args.q, _detector(args))
-        record.update(report.to_dict())
+        record.update(optimal_squeezing_for_mandel_q(args.q, _detector(args)).to_dict())
     _emit_record(record, args.format, args.out)
     return 0
 
@@ -260,12 +252,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except NonConvergenceError as exc:
+    except (NonConvergenceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return NONCONVERGENCE_ERROR
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return NONCONVERGENCE_ERROR if isinstance(exc, NonConvergenceError) else USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -59,7 +59,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dtbtrs
 from scipy.special import gammaln
 
 from .special import _NEGLIGIBLE_BITS, _exp_neg_scaled
@@ -157,6 +156,7 @@ def _solve_stretches(tables, work, z, form, first, steps, a, b):
     solve.  Returns each radius's share of sum_n (-1)^n p_n m_n and its
     last two unknowns, all on the scale of its seeds a, b.
     """
+    from scipy.linalg.lapack import dtbtrs     # scipy.linalg loads on first use
     rows = (1 + form) * steps + 2
     ends = np.cumsum(rows)
     starts = ends - rows

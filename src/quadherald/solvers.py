@@ -12,7 +12,7 @@ call as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -47,15 +47,7 @@ class SolveReport:
     boundary: bool = False           # supremum attained at the domain edge
 
     def to_dict(self) -> dict:
-        return {
-            "solution": self.solution,
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "bracket": list(self.bracket),
-            "feasible": self.feasible,
-            "value": self.value,
-            "boundary": self.boundary,
-        }
+        return {**asdict(self), "bracket": list(self.bracket)}
 
 
 class _Roots(NamedTuple):

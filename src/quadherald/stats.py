@@ -51,6 +51,7 @@ Numerical notes
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -227,15 +228,16 @@ class ConditionalStatistics:
     def n_max(self) -> int:
         return len(self.p) - 1
 
-    @property
+    @functools.cached_property
     def q(self) -> np.ndarray:
         """q_0..q_{n_max}, the acceptance probability of each Fock component.
 
-        Not stored: each read calls :func:`fock_acceptance_probabilities_imperfect`,
-        whose FFT is larger than the one behind p.
+        Computed on the first read by :func:`fock_acceptance_probabilities_imperfect`,
+        whose FFT is larger than the one behind p, then kept; read-only, as p is.
         """
-        return fock_acceptance_probabilities_imperfect(
-            self.n_max, self.window.x0, self.detector)
+        q = fock_acceptance_probabilities_imperfect(self.n_max, self.window.x0, self.detector)
+        q.setflags(write=False)
+        return q
 
 
 def _reduced_params(x0: float, detector: DetectorModel) -> tuple[float, float]:

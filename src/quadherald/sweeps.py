@@ -5,10 +5,15 @@ parameter grids, one output row per grid point, in lexicographic grid
 order.  Figure jobs are canned sweeps that regenerate the data behind
 the package's reference figures; their default parameter lists are part
 of the public contract and must not drift.
+
+Tables are held as columns from the grid to the bytes, never as row dicts.
+A grid axis is its values plus each row's index into them, so each value is
+formatted once; JSON rows come from one row template, as ``json.dumps`` writes.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -103,75 +108,86 @@ class SweepSpec:
             return cls.from_dict(json.load(fh))
 
 
-def _sweep_columns(spec: SweepSpec) -> list[str]:
-    cols = ["lam", "x0", "eta", "nbar"]
-    for qty in spec.quantities:
-        if qty == "p_n":
-            cols.extend(f"p_{i}" for i in range(spec.pn_max + 1))
-        elif qty in ("husimi", "wigner"):
-            cols.extend(f"{qty}_r{i}" for i in range(len(spec.radii)))
-        else:
-            cols.append(qty)
-    cols.append("error")
-    return cols
+@dataclass(frozen=True)
+class _Coded:
+    """A column of repeated cells, such as a grid axis: row i holds ``values[codes[i]]``."""
+
+    values: list
+    codes: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.codes)
 
 
-def _grid_rows(columns: dict) -> list[dict]:
-    """One row per point of the broadcast grid of ``columns``, in C order."""
-    arrays = np.broadcast_arrays(*columns.values())
-    rows = [{} for _ in range(arrays[0].size)]
-    for name, values in zip(columns, arrays):
-        for row, value in zip(rows, values.ravel().tolist()):
-            row[name] = value
-    return rows
+@dataclass(frozen=True)
+class _Table:
+    """Columns by name (1-D arrays, :class:`_Coded` or cell lists); ``len`` counts rows."""
+
+    columns: dict
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values())))
 
 
-def run_sweep(spec: SweepSpec) -> tuple[dict, list[str], list[dict]]:
-    """Evaluate the sweep; returns (meta, columns, rows)."""
-    meta = {
-        "generator": f"quadherald {__version__}",
-        "kind": "sweep",
-        "lam": list(spec.lam), "x0": list(spec.x0),
-        "eta": list(spec.eta), "nbar": list(spec.nbar),
-        "quantities": list(spec.quantities), "tol": spec.tol,
-    }
+def _grid_columns(axes: dict, **values) -> dict:
+    """A coded column per axis of the lexicographic grid, then ``values`` on it."""
+    shape = tuple(map(len, axes.values()))
+    codes = np.indices(shape).reshape(len(shape), -1)
+    return {**{name: _Coded(list(grid), c) for (name, grid), c in zip(axes.items(), codes)},
+            **{name: np.broadcast_to(v, shape).ravel() for name, v in values.items()}}
+
+
+def _emptied(values: np.ndarray, empty: np.ndarray):
+    """``values``, or its cells with ``""`` where ``empty`` holds, if it does anywhere."""
+    return np.where(empty, "", values.astype(object)).tolist() if empty.any() else values
+
+
+def run_sweep(spec: SweepSpec) -> tuple[dict, list[str], _Table]:
+    """Evaluate the sweep; returns (meta, column names, table)."""
+    meta = {"generator": f"quadherald {__version__}", "kind": "sweep",
+            **{name: list(getattr(spec, name))
+               for name in ("lam", "x0", "eta", "nbar", "quantities")},
+            "tol": spec.tol}
     if "p_n" in spec.quantities:
         meta["pn_max"] = spec.pn_max
     if "husimi" in spec.quantities or "wigner" in spec.quantities:
         meta["radii"] = list(spec.radii)
-    columns = _sweep_columns(spec)
 
-    grid = np.ix_(spec.lam, spec.x0, spec.eta, spec.nbar)
-    values = _closed_forms(*grid)
-    table = dict(zip(("lam", "x0", "eta", "nbar"), grid))
-    table.update((qty, values[qty]) for qty in spec.quantities if qty in values)
-    rows = _grid_rows(table)
-    needs_distribution = bool({"p_n", "husimi", "wigner"} & set(spec.quantities))
-    radii = np.asarray(spec.radii)
-    for row in rows:
-        errors = []
-        if "Q" in row and math.isnan(row["Q"]):
-            row["Q"] = ""
-            errors.append(_UNDEFINED_Q)
-        if needs_distribution:
-            s, w = Squeezing(row["lam"]), AcceptanceWindow.threshold(row["x0"])
-            d = DetectorModel(eta=row["eta"], n_bar=row["nbar"])
-            try:
-                stats = photon_distribution(s, w, d, tol=spec.tol)
-                if "p_n" in spec.quantities:
-                    for i in range(spec.pn_max + 1):
-                        row[f"p_{i}"] = float(stats.p[i]) if i <= stats.n_max else 0.0
-                for qty, func in (("husimi", husimi), ("wigner", wigner)):
-                    if qty in spec.quantities:
-                        vals = func(stats.p, radii)
-                        for i, v in enumerate(np.atleast_1d(vals)):
-                            row[f"{qty}_r{i}"] = float(v)
-            except NonConvergenceError as exc:
-                errors.append(str(exc))
-                for col in columns:
-                    row.setdefault(col, "")
-        row["error"] = "; ".join(errors)
-    return meta, columns, rows
+    axes = {"lam": spec.lam, "x0": spec.x0, "eta": spec.eta, "nbar": spec.nbar}
+    grid = _grid_columns(axes, **_closed_forms(*np.ix_(*axes.values())))
+    n = len(grid["C"])
+    undefined = np.isnan(grid["Q"]) & ("Q" in spec.quantities)
+    grid["Q"] = _emptied(grid["Q"], undefined)
+    errors = {i: [_UNDEFINED_Q] for i in np.flatnonzero(undefined).tolist()}   # row: texts
+    widths = {"p_n": spec.pn_max + 1, "husimi": len(spec.radii), "wigner": len(spec.radii)}
+    per_point = {qty: np.zeros((n, widths[qty])) for qty in spec.quantities if qty in widths}
+    failed = np.zeros(n, dtype=bool)
+    points = itertools.product(*axes.values()) if per_point else ()
+    for i, (lam, x0, eta, nbar) in enumerate(points):
+        try:
+            stats = photon_distribution(Squeezing(lam), AcceptanceWindow.threshold(x0),
+                                        DetectorModel(eta=eta, n_bar=nbar), tol=spec.tol)
+        except NonConvergenceError as exc:
+            failed[i] = True
+            errors.setdefault(i, []).append(str(exc))
+        else:
+            for qty, values in per_point.items():
+                row = (stats.p[:spec.pn_max + 1] if qty == "p_n"
+                       else (husimi if qty == "husimi" else wigner)(stats.p, spec.radii))
+                values[i, :len(row)] = row
+
+    columns = {name: grid[name] for name in axes}
+    for qty in spec.quantities:
+        if qty in per_point:
+            head = "p_" if qty == "p_n" else f"{qty}_r"
+            columns.update((f"{head}{k}", _emptied(v, failed))
+                           for k, v in enumerate(per_point[qty].T))
+        else:
+            columns[qty] = grid[qty]
+    codes = np.zeros(n, dtype=np.intp)
+    codes[list(errors)] = np.arange(1, len(errors) + 1)
+    columns["error"] = _Coded(["", *map("; ".join, errors.values())], codes)
+    return meta, list(columns), _Table(columns)
 
 
 # ---------------------------------------------------------------------------
@@ -182,53 +198,44 @@ def run_sweep(spec: SweepSpec) -> tuple[dict, list[str], list[dict]]:
 _CONTOUR_LAMS = 1.0 - np.logspace(math.log10(1.0 - 0.001), math.log10(1.0 - 0.95), 200)
 
 
-def _contour_rows(q, eta, lam, **_) -> list[dict]:
+def _contour_columns(q, eta, lam, **_) -> dict:
     for e in eta:
         DetectorModel(eta=e)                   # checks each efficiency
+    columns = _grid_columns({"q_target": q, "eta": eta, "lam": lam})
     q, eta, lam = (g.ravel() for g in np.meshgrid(q, eta, lam, indexing="ij"))
     roots, c = _contour(lam, q, eta, 0.0)
-    return [{"q_target": q_i, "eta": e, "lam": lam_i,
-             "x0_required": x0 if ok else "", "acceptance_probability": c_i if ok else "",
-             "feasible": ok}
-            for q_i, e, lam_i, x0, c_i, ok in zip(
-                q.tolist(), eta.tolist(), lam.tolist(), roots.x0.tolist(), c.tolist(),
-                roots.feasible.tolist())]
+    return {**columns, "x0_required": _emptied(roots.x0, ~roots.feasible),
+            "acceptance_probability": _emptied(c, ~roots.feasible), "feasible": roots.feasible}
 
 
-def _fig2_rows(lam, x0) -> list[dict]:
+def _fig2_columns(lam, x0) -> dict:
     for lam_i in lam:                  # the domain types check each value
         Squeezing(lam_i)
     for x0_i in x0:
         AcceptanceWindow.threshold(x0_i)
-    grid = np.ix_(lam, x0)
-    values = _closed_forms(*grid, 1.0, 0.0)
+    values = _closed_forms(*np.ix_(lam, x0), 1.0, 0.0)
     if np.isnan(values["Q"]).any():
         raise UndefinedQError(_UNDEFINED_Q)
-    return _grid_rows({"lam": grid[0], "x0": grid[1], "mean_n": values["mean"],
-                       "Q": values["Q"]})
+    return _grid_columns({"lam": lam, "x0": x0}, mean_n=values["mean"], Q=values["Q"])
 
 
-def _fig4_rows(lam, x0, tol) -> list[dict]:
-    rows = []
-    for x0_i in x0:
-        p = photon_distribution(Squeezing(lam), AcceptanceWindow.threshold(x0_i), tol=tol).p
-        rows.extend({"x0": float(x0_i), "n": n, "p_n": float(p_n)} for n, p_n in enumerate(p))
-    return rows
+def _fig4_columns(lam, x0, tol) -> dict:
+    ps = [photon_distribution(Squeezing(lam), AcceptanceWindow.threshold(x0_i), tol=tol).p
+          for x0_i in x0]
+    return {"x0": _Coded(list(x0), np.repeat(np.arange(len(ps)), list(map(len, ps)))),
+            "n": np.concatenate([np.arange(len(p)) for p in ps]), "p_n": np.concatenate(ps)}
 
 
-def _fig5_rows(lam, x0, r) -> list[dict]:
-    rows = []
-    for x0_i in x0:
-        p = photon_distribution(Squeezing(lam), AcceptanceWindow.threshold(x0_i)).p
-        rows.extend({"x0": float(x0_i), "r": float(r_i), "husimi": float(h)}
-                    for r_i, h in zip(r, husimi(p, r)))
-    return rows
+def _fig5_columns(lam, x0, r) -> dict:
+    ps = [photon_distribution(Squeezing(lam), AcceptanceWindow.threshold(x0_i)).p
+          for x0_i in x0]
+    return _grid_columns({"x0": x0, "r": r}, husimi=np.array([husimi(p, r) for p in ps]))
 
 
 class _Figure(NamedTuple):
-    """A figure's inputs (``params`` overridable, ``fixed`` not), columns and rows.
+    """A figure's inputs (``params`` overridable, ``fixed`` not), columns and table.
 
-    Inputs are in header order and ``rows`` takes them all by name.  A
+    Inputs are in header order and ``table`` takes them all by name.  A
     default's type fixes its header form: a tuple in full, an array grid as
     ``[first, last]`` plus ``<name>_points``, else as is (a float takes one value).
     An overridden array grid is written in full, without ``<name>_points``
@@ -237,7 +244,7 @@ class _Figure(NamedTuple):
 
     params: dict
     columns: dict
-    rows: Callable[..., list[dict]]
+    table: Callable[..., dict]
     fixed: dict = {}
 
 
@@ -254,26 +261,26 @@ _FIGURES = {
                     {"lam": "squeezing parameter", "x0": "acceptance threshold",
                      "mean_n": "mean photon number of heralded state",
                      "Q": "Mandel Q of heralded state"},
-                    _fig2_rows),
+                    _fig2_columns),
     # heralding probability and required threshold along fixed-Q contours
     # (rows at eta = 1, without the eta column)
     "fig3": _Figure({"q": (0.0, -0.05, -0.1, -0.2), "lam": _CONTOUR_LAMS},
                     {k: v for k, v in _CONTOUR_COLUMNS.items() if k != "eta"},
-                    lambda q, lam, **_: _contour_rows(q, (1.0,), lam), _LOG_SPACING),
+                    lambda q, lam, **_: _contour_columns(q, (1.0,), lam), _LOG_SPACING),
     # photon-number distributions at increasing thresholds
     "fig4": _Figure({"lam": 0.25, "x0": (0.0, 1.0, 2.0, 3.0)},
                     {"x0": "acceptance threshold", "n": "photon number",
                      "p_n": "probability of n photons"},
-                    _fig4_rows, {"tol": 1e-12}),
+                    _fig4_columns, {"tol": 1e-12}),
     # Husimi radial profiles of the thermal and strongly heralded states
     "fig5": _Figure({"lam": 0.25, "x0": (0.0, 2.0)},
                     {"x0": "acceptance threshold", "r": "phase-space radius |alpha|",
                      "husimi": "Husimi function value"},
-                    _fig5_rows, {"r": np.linspace(0.0, 5.0, 201)}),
+                    _fig5_columns, {"r": np.linspace(0.0, 5.0, 201)}),
     # fixed-Q contours for four detection efficiencies
     "fig6": _Figure({"q": (0.0, -0.05), "eta": (0.9, 0.8, 0.7, 0.6),
                      "lam": _CONTOUR_LAMS},
-                    _CONTOUR_COLUMNS, _contour_rows, _LOG_SPACING),
+                    _CONTOUR_COLUMNS, _contour_columns, _LOG_SPACING),
 }
 
 FIGURE_IDS = tuple(_FIGURES)
@@ -305,8 +312,8 @@ class FigureJob:
         object.__setattr__(self, "overrides", overrides)
 
 
-def build_figure(job: FigureJob) -> tuple[dict, list[str], list[dict]]:
-    """Data rows for one reference figure; returns (meta, columns, rows)."""
+def build_figure(job: FigureJob) -> tuple[dict, list[str], _Table]:
+    """Data for one reference figure; returns (meta, column names, table)."""
     fig = _FIGURES[job.figure_id]
     defaults = {**fig.params, **fig.fixed}
     values = {**defaults, **job.overrides}
@@ -324,7 +331,7 @@ def build_figure(job: FigureJob) -> tuple[dict, list[str], list[dict]]:
         else:
             meta[name] = value
     meta["columns"] = dict(fig.columns)
-    return meta, list(fig.columns), fig.rows(**values)
+    return meta, list(fig.columns), _Table(fig.table(**values))
 
 
 # ---------------------------------------------------------------------------
@@ -360,24 +367,33 @@ def _cell(value) -> str:
     return text
 
 
-def _column(values: list) -> list[str]:
-    """The CSV fields of one column; an all-float column skips :func:`_cell`."""
-    try:
-        return list(map(float.__repr__, values))
-    except TypeError:                 # a str, bool, int, None, list or dict
-        return [_cell(v) for v in values]
+def _cells(column, encode) -> list[str]:
+    """Each cell's text: a finite float's ``repr`` (both formats), else ``encode``."""
+    if isinstance(column, _Coded):
+        return np.array(_cells(column.values, encode), dtype=object)[column.codes].tolist()
+    if isinstance(column, np.ndarray):
+        if column.dtype == float and np.isfinite(column).all():
+            return list(map(repr, column.tolist()))       # Python floats
+        column = column.tolist()
+    return [float.__repr__(v) if isinstance(v, float) and math.isfinite(v) else encode(v)
+            for v in column]
 
 
-def format_csv(meta: dict, columns: list[str], rows: list[dict]) -> str:
+def format_csv(meta: dict, columns: list[str], table: _Table) -> str:
     lines = [f"# {key}: {json.dumps(value)}" for key, value in meta.items()]
     lines.append(",".join(columns))
-    fields = [_column([row.get(col, "") for row in rows]) for col in columns]
-    lines.extend(map(",".join, zip(*fields)))
+    lines.extend(map(",".join, zip(*(_cells(table.columns[col], _cell) for col in columns))))
     return "\n".join(lines) + "\n"
 
 
-def format_json(meta: dict, columns: list[str], rows: list[dict]) -> str:
-    payload = {"meta": meta, "columns": columns,
-               "rows": [{col: row.get(col, "") for col in columns}
-                        for row in rows]}
-    return json.dumps(payload, indent=2) + "\n"
+def format_json(meta: dict, columns: list[str], table: _Table) -> str:
+    """``json.dumps(..., indent=2)`` of meta, columns and rows: one join of the row
+    template's texts (before each cell, then the close) and the columns' cells."""
+    head = json.dumps({"meta": meta, "columns": columns, "rows": []}, indent=2)
+    texts = [itertools.repeat(f",\n      {json.dumps(col)}: ") for col in columns]
+    start = f"\n    {{\n      {json.dumps(columns[0])}: "
+    texts[0] = itertools.chain(["[" + start], itertools.repeat("," + start))
+    cells = (_cells(table.columns[col], json.dumps) for col in columns)
+    rows = zip(*itertools.chain.from_iterable(zip(texts, cells)), itertools.repeat("\n    }"))
+    body = itertools.chain.from_iterable(rows)
+    return "".join(itertools.chain([head[:-len("[]\n}")]], body, ["\n  ]\n}\n"]))

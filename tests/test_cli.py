@@ -9,7 +9,7 @@ import pytest
 
 import quadherald as qh
 from quadherald.cli import main
-from quadherald.sweeps import FigureJob
+from quadherald.sweeps import FigureJob, SweepSpec, build_figure, run_sweep
 
 
 def run(capsys, *argv):
@@ -320,13 +320,23 @@ def test_flag_the_command_does_not_use_exits_2(argv, tmp_path, capsys):
     ["stats", "--lambda", "0.25", "--x0", "2", "--pn"],
     ["montecarlo", "--lambda", "0.25", "--x0", "1", "--shots", "20000"],
     ["solve", "x0-min"],
+    # lam = 0 rows: empty Q and an error text with a comma, on a 4-axis grid
+    ["sweep", "--lambda", "0,0.3", "--x0", "0,1.5", "--eta", "0.7,1", "--nbar", "0,0.5"],
+    # lam = 0.9999 needs more orders than the cap: empty p_n and wigner cells
+    ["sweep", "--lambda", "0,0.5,0.9999", "--x0", "1", "--quantities", "C,Q,p_n,wigner",
+     "--pn-max", "3", "--radii", "0,1"],
+    ["sweep", "--lambda", "0.2,0.35", "--x0", "0,2", "--quantities", "p_n,husimi,wigner",
+     "--pn-max", "8", "--radii", "0,1.5"],
+    # no threshold reaches Q = -0.9: empty cells and false
+    ["figure", "fig3", "--q=-0.9,-0.1", "--lambda", "0.1,0.5"],
 ])
-def test_csv_cells_match_json(argv, capsys):
-    code, out, _ = run(capsys, *argv, "--format", "csv")
-    assert code == 0
-    _, columns, rows = parse_csv(out)
-    payload = json.loads(run(capsys, *argv, "--format", "json")[1])
-    records = payload["rows"] if argv[0] == "sweep" else [payload]
+def test_csv_cells_match_json(argv, tmp_path):
+    csv_path, json_path = tmp_path / "out.csv", tmp_path / "out.json"
+    assert main(argv + ["--format", "csv", "--out", str(csv_path)]) == 0
+    assert main(argv + ["--format", "json", "--out", str(json_path)]) == 0
+    _, columns, rows = parse_csv(csv_path.read_text())
+    payload = json.loads(json_path.read_text())
+    records = payload["rows"] if argv[0] in ("sweep", "figure") else [payload]
     assert len(rows) == len(records)
     for row, record in zip(rows, records):
         assert columns == list(record)
@@ -342,6 +352,16 @@ def test_csv_cells_match_json(argv, capsys):
                 assert cell == value
             else:
                 assert float(cell) == value
+
+
+def test_table_length_is_the_row_count():
+    spec = SweepSpec(lam=(0.0, 0.3), x0=(0.0, 1.0, 2.0), eta=(0.7, 1.0),
+                     quantities=("C", "Q", "p_n", "husimi"), pn_max=4, radii=(0.0, 1.0))
+    tables = [(run_sweep(spec), 12)] + [(build_figure(FigureJob(fig)), rows) for fig, rows
+                                        in (("fig2", 603), ("fig3", 800), ("fig6", 1600))]
+    for (_, columns, table), rows in tables:
+        assert len(table) == rows
+        assert all(len(table.columns[col]) == rows for col in columns)
 
 
 def test_csv_json_cells_have_no_nonfinite_literals(capsys):
@@ -369,6 +389,17 @@ def test_cli_import_leaves_integrate_and_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_stats_leaves_linalg_unloaded():
+    # only wigner uses scipy.linalg, and its first call imports it
+    code = ("import os, sys, quadherald.cli; "
+            "quadherald.cli.main(['stats', '--lambda', '0.25', '--x0', '2', '--pn', "
+            "'--out', os.devnull]); "
+            "print('scipy.linalg' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestMonteCarloCommand:

@@ -1,9 +1,11 @@
 """CLI outputs compared byte for byte with files written before the array paths.
 
 The files under ``tests/data/golden`` were written by the scalar,
-point-by-point implementation that the broadcast closed forms replaced.
-A change that moves one output digit of these commands fails here; a
-change that means to move digits regenerates the file and says why.
+point-by-point implementation that the broadcast closed forms replaced;
+``sweep.json``, ``fig3.csv`` and ``fig6.json`` by the row-by-row
+formatters that the column tables replaced.  A change that moves one
+output digit of these commands fails here; a change that means to move
+digits regenerates the file and says why.
 
 fig4, fig5 and ``stats --pn`` print p_n, which come from numpy's FFT and
 ``exp``; their last bits follow the numpy build (numpy 2.0 replaced the
@@ -32,9 +34,16 @@ COMMANDS = [
     pytest.param("sweep.csv", ["sweep", "--lambda", "0,0.3,0.9", "--x0", "0,1.5,40",
                                "--eta", "0.7,1", "--nbar", "0,0.5",
                                "--quantities", "C,mean,second_factorial,Q"], id="sweep"),
+    pytest.param("sweep.json", ["sweep", "--lambda", "0,0.3,0.9", "--x0", "0,1.5,40",
+                                "--eta", "0.7,1", "--nbar", "0,0.5",
+                                "--quantities", "C,mean,second_factorial,Q",
+                                "--format", "json"], id="sweep-json"),
     pytest.param("fig2.csv", ["figure", "fig2"], id="fig2"),
+    # infeasible contour lanes give empty cells and false
+    pytest.param("fig3.csv", ["figure", "fig3"], id="fig3"),
     pytest.param("fig4.csv", ["figure", "fig4"], id="fig4", marks=FFT_DEPENDENT),
     pytest.param("fig5.csv", ["figure", "fig5"], id="fig5", marks=FFT_DEPENDENT),
+    pytest.param("fig6.json", ["figure", "fig6", "--format", "json"], id="fig6-json"),
 ]
 
 

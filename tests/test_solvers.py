@@ -126,17 +126,20 @@ class TestLockstepSolver:
     def test_contour_feasibility_matches_the_scalar_solver(self, fig):
         # flags written by the brentq-per-point solver this one replaced
         expected = json.loads((DATA / "contour_feasible.json").read_text())[fig]
-        rows = build_figure(FigureJob(fig))[2]
-        assert "".join("1" if row["feasible"] else "0" for row in rows) == expected
+        columns = build_figure(FigureJob(fig))[2].columns
+        assert "".join("1" if ok else "0" for ok in columns["feasible"]) == expected
 
     @pytest.mark.parametrize("fig", ["fig3", "fig6"])
     def test_contour_roots_are_accurate_against_mpmath(self, fig):
-        rows = [row for row in build_figure(FigureJob(fig))[2] if row["feasible"]]
+        columns = build_figure(FigureJob(fig))[2].columns
+        lam, eta, q_target = (np.take(columns[name].values, columns[name].codes)
+                              for name in ("lam", "eta", "q_target"))
+        feasible = np.flatnonzero(columns["feasible"])
         rng = np.random.default_rng(3)
-        for k in rng.choice(len(rows), 24, replace=False):
-            row = rows[k]
-            q = mandel_q_mp(row["lam"], row["x0_required"], row["eta"])
-            assert abs(float(q - row["q_target"])) <= 1e-12, row
+        for k in feasible[rng.choice(len(feasible), 24, replace=False)]:
+            x0 = columns["x0_required"][k]
+            q = mandel_q_mp(lam[k], x0, eta[k])
+            assert abs(float(q - q_target[k])) <= 1e-12, (lam[k], x0, eta[k], q_target[k])
 
 
 class TestMinimumPoissonianThreshold:

@@ -231,6 +231,14 @@ class TestPhotonDistribution:
         assert np.array_equal(
             stats.q, qh.fock_acceptance_probabilities_imperfect(stats.n_max, 1.5, d))
 
+    def test_q_is_computed_once_and_read_only(self):
+        d = qh.DetectorModel(eta=0.7, n_bar=0.2)
+        stats = qh.photon_distribution(qh.Squeezing(0.4), thr(1.5), d)
+        q = stats.q
+        assert stats.q is q and not q.flags.writeable
+        assert np.array_equal(
+            q, qh.fock_acceptance_probabilities_imperfect(stats.n_max, 1.5, d))
+
     @pytest.mark.parametrize("lam,x0,eta", [(0.25, 2.0, 1.0), (0.5, 1.0, 0.8),
                                             (0.8, 0.5, 0.7)])
     def test_mandel_q_two_routes_agree(self, lam, x0, eta):
