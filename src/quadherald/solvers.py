@@ -18,8 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NonConvergenceError
-from .stats import _EPS, DetectorModel, Squeezing, _acceptance, _mandel_q, _moments, \
-    _where, mandel_q_slope_at_zero_squeezing
+from .stats import _EPS, DetectorModel, Squeezing, _acceptance, _check_domain, _mandel_q, \
+    _moments, _where, mandel_q_slope_at_zero_squeezing
 
 __all__ = [
     "SolveReport",
@@ -29,7 +29,9 @@ __all__ = [
     "efficiency_threshold",
 ]
 
-_X0_CAP = 256.0           # thresholds beyond this change Q by nothing measurable
+# bracket cap in x0 units; known to be too small at strong squeezing, where
+# the root can lie beyond it (Q = 41.9 at lam = 0.999, x0 = 256)
+_X0_CAP = 256.0
 _SCAN_POINTS = 50
 _LAM_LO, _LAM_HI = 1e-4, 0.999
 
@@ -234,8 +236,5 @@ def efficiency_threshold(n_bar: float) -> float:
     Equals (1 + 2 n_bar) / (2 + 2 n_bar): 1/2 for a vacuum auxiliary
     mode, approaching 1 as the auxiliary mode heats up.
     """
-    # 2 n_bar finite, as DetectorModel requires: 1e308 would give inf / inf
-    if not (0.0 <= 2.0 * n_bar < math.inf):
-        raise ValueError(
-            f"n_bar must be nonnegative with 2 n_bar finite, got {n_bar!r}")
+    _check_domain(n_bar=n_bar)      # as DetectorModel: 1e308 would give inf / inf
     return (1.0 + 2.0 * n_bar) / (2.0 + 2.0 * n_bar)

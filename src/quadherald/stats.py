@@ -41,12 +41,13 @@ Numerical notes
   absolute at N ~ 10^4.  Accuracy is absolute, not relative: tail
   entries a few ulps below zero are clipped.
 * A detector with a thermal auxiliary mode (n_bar > 0) is reduced to an
-  equivalent vacuum-auxiliary detector: the acceptance probability as a
-  function of lam has the same functional form under
-  eta' = eta / s, x0' = x0 / sqrt(s), s = 1 + 2 n_bar (1 - eta),
-  and the acceptance probability as a function of lam determines the
-  full photon statistics, so the reduction is exact for every reported
-  quantity.
+  equivalent vacuum-auxiliary detector, eta' = eta / s, x0' = x0 / sqrt(s),
+  s = 1 + 2 n_bar (1 - eta): the measured quadrature's variance is s times
+  that of the reduced detector, so C(lam) has the same functional form,
+  and C(lam) determines the full photon statistics.  One function,
+  ``_reduced``, holds the reduction; C, the moments, the FFT and the
+  zero-squeezing slope all read it, and every closed form reads one
+  reduced threshold, ``y = x0' sqrt((1 - lam) / (1 + (2 eta' - 1) lam))``.
 """
 
 from __future__ import annotations
@@ -81,6 +82,37 @@ _EPS = float(np.finfo(float).eps)
 #: Hard cap on the truncation order of the photon-number distribution.
 DEFAULT_N_CAP = 100_000
 
+#: Each parameter's domain, once: its text and its test on a float or a float array.
+_DOMAINS = {
+    "lam": ("lie in [0, 1)", lambda v: (0.0 <= v) & (v < 1.0)),
+    "x0": ("be nonnegative and finite", lambda v: (0.0 <= v) & (v < math.inf)),
+    "eta": ("lie in (0, 1]", lambda v: (0.0 < v) & (v <= 1.0)),
+    # 2 n_bar finite keeps s, and so erfc's argument, finite
+    "n_bar": ("be nonnegative with 2 n_bar finite",
+              lambda v: (0.0 <= v) & (2.0 * v < math.inf)),
+    "tol": ("lie in (0, 1e-3]", lambda v: (0.0 < v) & (v <= 1e-3)),
+}
+
+
+def _check_domain(grid: bool = False, **values) -> None:
+    """Raise ValueError unless each value lies in its parameter's domain.
+
+    A value is a number, or with ``grid`` any sequence or array of numbers;
+    nan, +-inf, strings and other non-numbers are refused.
+    """
+    for name, value in values.items():
+        rule, inside = _DOMAINS[name]
+        if isinstance(value, (int, float)):        # a number, np.float64 too: no array
+            bad = [] if inside(float(value)) else [value]
+        else:
+            v = np.asarray(value)
+            bad = [value]
+            if v.dtype.kind in "biuf" and (grid or v.ndim == 0):
+                with np.errstate(over="ignore"):   # 2 n_bar may overflow to inf
+                    bad = v[~inside(v.astype(float))].tolist()
+        if bad:
+            raise ValueError(f"{name} must {rule}, got {bad[0]!r}")
+
 
 @dataclass(frozen=True)
 class Squeezing:
@@ -89,8 +121,7 @@ class Squeezing:
     lam: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.lam) and 0.0 <= self.lam < 1.0):
-            raise ValueError(f"lam must lie in [0, 1), got {self.lam!r}")
+        _check_domain(lam=self.lam)
 
     @classmethod
     def from_r(cls, r: float) -> "Squeezing":
@@ -121,8 +152,7 @@ class AcceptanceWindow:
         if (self.x0 is None) == (self.general_intervals is None):
             raise ValueError("exactly one of x0 / general_intervals must be set")
         if self.x0 is not None:
-            if not (np.isfinite(self.x0) and self.x0 >= 0.0):
-                raise ValueError(f"x0 must be nonnegative and finite, got {self.x0!r}")
+            _check_domain(x0=self.x0)
         else:
             iv = tuple(tuple(map(float, pair)) for pair in self.general_intervals)
             prev_hi = -math.inf
@@ -178,33 +208,21 @@ class DetectorModel:
     n_bar: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.eta) and 0.0 < self.eta <= 1.0):
-            raise ValueError(f"eta must lie in (0, 1], got {self.eta!r}")
-        # 2 n_bar finite keeps the idler variance, and so erfc's argument, finite
-        if not (0.0 <= 2.0 * self.n_bar < math.inf):
-            raise ValueError(
-                f"n_bar must be nonnegative with 2 n_bar finite, got {self.n_bar!r}")
+        _check_domain(eta=self.eta, n_bar=self.n_bar)
 
     @classmethod
     def ideal(cls) -> "DetectorModel":
         return cls(eta=1.0, n_bar=0.0)
 
-    def reduce_to_vacuum_auxiliary(self) -> tuple[float, float]:
-        """Equivalent vacuum-auxiliary parameters ``(eta_eff, threshold_scale)``.
 
-        A threshold x0 with this detector produces the same acceptance
-        probability, as a function of lam, as threshold
-        ``x0 / threshold_scale`` with efficiency ``eta_eff`` and a vacuum
-        auxiliary mode.
-        """
-        eta_eff, scale = _vacuum_equivalent(self.eta, self.n_bar)
-        return eta_eff, float(scale)
+def _reduced(x0, eta, n_bar):
+    """(x0', eta') of the vacuum-auxiliary detector equivalent to (eta, n_bar).
 
-
-def _vacuum_equivalent(eta, n_bar):
-    """(eta_eff, threshold_scale) of :meth:`DetectorModel.reduce_to_vacuum_auxiliary`."""
+    x0' = x0 / sqrt(s) and eta' = eta / s, s = 1 + 2 n_bar (1 - eta), on the
+    broadcast grid of the inputs (see the module docstring).
+    """
     s = 1.0 + 2.0 * n_bar * (1.0 - eta)
-    return eta / s, np.sqrt(s)
+    return x0 / np.sqrt(s), eta / s
 
 
 @dataclass(frozen=True)
@@ -240,25 +258,11 @@ class ConditionalStatistics:
         return q
 
 
-def _reduced_params(x0: float, detector: DetectorModel) -> tuple[float, float]:
-    """Map (x0, detector) to the equivalent vacuum-auxiliary (x0', eta')."""
-    eta_eff, scale = detector.reduce_to_vacuum_auxiliary()
-    return x0 / scale, eta_eff
-
-
-def idler_quadrature_variance(s: Squeezing, d: DetectorModel) -> float:
-    """Variance of the measured idler quadrature (Gaussian, zero mean)."""
-    return float(_idler_variance(s.lam, d.eta, d.n_bar))
-
-
-def _idler_variance(lam, eta, nb):
-    return (1.0 + 2.0 * nb * (1.0 - eta)
-            + lam * (2.0 * eta * (1.0 + nb) - 1.0 - 2.0 * nb)) / (2.0 * (1.0 - lam))
-
-
 def _acceptance(lam, x0, eta, n_bar):
-    """C = erfc(x0 / sqrt(2 var)) on the broadcast grid of the inputs."""
-    return _sp.erfc(x0 / np.sqrt(2.0 * _idler_variance(lam, eta, n_bar)))
+    """C = erfc(y), y = x0' sqrt((1 - lam) / (1 + (2 eta' - 1) lam)), on the
+    broadcast grid of the inputs; the y that :func:`_moments` feeds to erfcx."""
+    x, eta = _reduced(x0, eta, n_bar)
+    return _sp.erfc(x * np.sqrt((1.0 - lam) / (1.0 + (2.0 * eta - 1.0) * lam)))
 
 
 def acceptance_probability_imperfect(s: Squeezing, w: AcceptanceWindow,
@@ -281,7 +285,7 @@ def _heralding_coefficients(n_max: int, x0: float, d: DetectorModel,
     erfcx and w_r^2 - w^2 = 2 eta' x0'^2 (t - r) / (v(t) v(r)), so a tiny
     C(radius) costs no accuracy.
     """
-    x0_eff, eta = _reduced_params(x0, d)
+    x0_eff, eta = _reduced(x0, d.eta, d.n_bar)
     a = 2.0 * eta - 1.0
     theta = (2.0 * math.pi / m) * np.arange(m // 2 + 1)
     dt = radius * np.expm1(1j * theta)        # t - r, no cancellation near t = r
@@ -305,20 +309,18 @@ def fock_acceptance_probabilities_imperfect(
     """
     if not isinstance(n_max, (int, np.integer)) or n_max < 0:
         raise ValueError(f"n_max must be a nonnegative integer, got {n_max!r}")
-    if not (np.isfinite(x0) and x0 >= 0.0):
-        raise ValueError(f"x0 must be nonnegative and finite, got {x0!r}")
+    _check_domain(x0=x0)
     if x0 == 0.0:                               # the FFT gives 1 - 3e-16
         return np.ones(n_max + 1)
     d = d or DetectorModel.ideal()
     m = 1 << (9 * n_max + 8).bit_length()      # least power of two >= 9 (N + 1)
     radius = math.exp(-36.0 / m)
-    c_r = acceptance_probability_imperfect(Squeezing(radius),
-                                           AcceptanceWindow.threshold(x0), d)
     q = _heralding_coefficients(n_max, x0, d, radius, m)
     # q_n = C(r) r^-n [z^n] G(r z) / C(r), with the rounded r: scaling by
     # exp(36 n / M) instead would add an error growing like n eps
-    q *= c_r * np.exp(-math.log(radius) * np.arange(n_max + 1))
-    q[0] = _sp.erfc(_reduced_params(x0, d)[0])
+    q *= (_acceptance(radius, x0, d.eta, d.n_bar)
+          * np.exp(-math.log(radius) * np.arange(n_max + 1)))
+    q[0] = _acceptance(0.0, x0, d.eta, d.n_bar)     # q_0 = C(0) = erfc(x0')
     return np.clip(q, 0.0, 1.0)
 
 
@@ -343,18 +345,18 @@ def _moments(lam, eta, n_bar):
     The x0-independent parts are computed once.  The operation order is
     fixed, so a value is the same for floats and in any array shape.
     """
-    eta, scale = _vacuum_equivalent(eta, n_bar)
-    # a vacuum signal has zero moments at every threshold: an infinite scale
-    # maps x0 to 0, where every moment term is exactly 0.0
-    scale = _where(lam == 0.0, np.inf, scale)
-    u, v = 1.0 - lam, 1.0 + (2.0 * eta - 1.0) * lam
-    k, two_eta, root = np.sqrt(u / v), 2.0 * eta, _SQRT_PI * np.sqrt(u * _cube(v))
+    eta_r = _reduced(0.0, eta, n_bar)[1]        # eta' does not depend on x0
+    u, v = 1.0 - lam, 1.0 + (2.0 * eta_r - 1.0) * lam
+    # a vacuum signal has zero moments at every threshold: a zero 2 eta' makes
+    # every x0 term exactly 0.0, even where it would overflow at large x0
+    k, two_eta = np.sqrt(u / v), _where(lam == 0.0, 0.0, 2.0 * eta_r)
+    root = _SQRT_PI * np.sqrt(u * _cube(v))
     mean0, lam2, second0 = lam / u, lam * lam, 2.0 * lam * lam / (u * u)
-    bracket0 = (4.0 - 3.0 * eta + 4.0 * (2.0 * eta - 1.0) * lam) / (u * v)
+    bracket0 = (4.0 - 3.0 * eta_r + 4.0 * (2.0 * eta_r - 1.0) * lam) / (u * v)
     vv = v * v
 
     def at(x0):
-        x = x0 / scale
+        x = _reduced(x0, eta, n_bar)[0]
         tx = two_eta * x
         # exp(-x^2 u/v) / C == 1 / erfcx(x sqrt(u/v)): no under/overflow for any x0
         common = tx / (root * _sp.erfcx(x * k))
@@ -419,8 +421,7 @@ def photon_distribution(s: Squeezing, w: AcceptanceWindow,
         If the required truncation order exceeds ``DEFAULT_N_CAP``, or if some
         p_n < -8 eps or |1 - sum(p)| exceeds the tail bound + 8 eps (N + 1).
     """
-    if not (0.0 < tol <= 1e-3):
-        raise ValueError(f"tol must lie in (0, 1e-3], got {tol!r}")
+    _check_domain(tol=tol)
     d = d or DetectorModel.ideal()
     x0 = w.require_threshold()
     lam = s.lam
@@ -471,10 +472,9 @@ def mandel_q_slope_at_zero_squeezing(x0: float,
     The slope's root over x0 (ideal detector) is the minimum threshold
     for Poissonian statistics.
     """
-    if not (np.isfinite(x0) and x0 >= 0.0):
-        raise ValueError(f"x0 must be nonnegative and finite, got {x0!r}")
+    _check_domain(x0=x0)
     d = d or DetectorModel.ideal()
-    x0_eff, eta = _reduced_params(x0, d)
+    x0_eff, eta = map(float, _reduced(x0, d.eta, d.n_bar))
     g = 2.0 * x0_eff / (_SQRT_PI * _sp.erfcx(x0_eff))
     numer = (1.0 + eta * g * (2.0 - 3.0 * eta)
              + 2.0 * eta * eta * g * x0_eff * x0_eff - (eta * g) ** 2)

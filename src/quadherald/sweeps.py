@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -24,10 +23,10 @@ import numpy as np
 
 from . import __version__
 from .errors import NonConvergenceError, UndefinedQError
-from .phase_space import husimi, wigner
+from .phase_space import _checked_radii, husimi, wigner
 from .solvers import _contour
 from .stats import (_UNDEFINED_Q, AcceptanceWindow, DetectorModel, Squeezing,
-                    _closed_forms, photon_distribution)
+                    _check_domain, _closed_forms, photon_distribution)
 
 __all__ = ["SweepSpec", "FigureJob", "run_sweep", "build_figure",
            "format_csv", "format_json", "FIGURE_IDS"]
@@ -63,14 +62,7 @@ class SweepSpec:
             object.__setattr__(self, name, _numbers(name, getattr(self, name)))
             if len(getattr(self, name)) == 0:
                 raise ValueError(f"grid {name} must be nonempty")
-        if any(not (0.0 <= v < 1.0) for v in self.lam):
-            raise ValueError("all lam grid values must lie in [0, 1)")
-        if any(not (0.0 <= v < math.inf) for v in self.x0):
-            raise ValueError("all x0 grid values must be nonnegative and finite")
-        if any(not (0.0 < v <= 1.0) for v in self.eta):
-            raise ValueError("all eta grid values must lie in (0, 1]")
-        if any(not (0.0 <= 2.0 * v < math.inf) for v in self.nbar):
-            raise ValueError("all nbar grid values must be nonnegative, 2 nbar finite")
+        _check_domain(grid=True, lam=self.lam, x0=self.x0, eta=self.eta, n_bar=self.nbar)
         if not (isinstance(self.quantities, (list, tuple))
                 and all(isinstance(q, str) for q in self.quantities)):
             raise ValueError(
@@ -82,13 +74,11 @@ class SweepSpec:
                              f"valid: {VALID_QUANTITIES}")
         if len(set(self.quantities)) < len(self.quantities):   # duplicate columns
             raise ValueError(f"quantities repeat a name: {list(self.quantities)}")
-        if not (isinstance(self.tol, numbers.Real) and 0.0 < self.tol <= 1e-3):
-            raise ValueError(f"tol must lie in (0, 1e-3], got {self.tol!r}")
+        _check_domain(tol=self.tol)
         if not isinstance(self.pn_max, (int, np.integer)) or self.pn_max < 0:
             raise ValueError(f"pn_max must be a nonnegative integer, got {self.pn_max!r}")
         object.__setattr__(self, "radii", _numbers("radii", self.radii))
-        if any(r < 0.0 for r in self.radii):
-            raise ValueError("radii must be nonnegative")
+        _checked_radii(self.radii)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
@@ -199,8 +189,7 @@ _CONTOUR_LAMS = 1.0 - np.logspace(math.log10(1.0 - 0.001), math.log10(1.0 - 0.95
 
 
 def _contour_columns(q, eta, lam, **_) -> dict:
-    for e in eta:
-        DetectorModel(eta=e)                   # checks each efficiency
+    _check_domain(grid=True, eta=eta)
     columns = _grid_columns({"q_target": q, "eta": eta, "lam": lam})
     q, eta, lam = (g.ravel() for g in np.meshgrid(q, eta, lam, indexing="ij"))
     roots, c = _contour(lam, q, eta, 0.0)
@@ -209,10 +198,7 @@ def _contour_columns(q, eta, lam, **_) -> dict:
 
 
 def _fig2_columns(lam, x0) -> dict:
-    for lam_i in lam:                  # the domain types check each value
-        Squeezing(lam_i)
-    for x0_i in x0:
-        AcceptanceWindow.threshold(x0_i)
+    _check_domain(grid=True, lam=lam, x0=x0)
     values = _closed_forms(*np.ix_(lam, x0), 1.0, 0.0)
     if np.isnan(values["Q"]).any():
         raise UndefinedQError(_UNDEFINED_Q)

@@ -94,6 +94,20 @@ def gaussian_tail_two_sided(variance: float, x0: float) -> float:
     return math.erfc(x0 / math.sqrt(2.0 * variance))
 
 
+def acceptance_probability_mp(lam: float, x0: float, eta: float = 1.0,
+                              n_bar: float = 0.0, dps: int = 50):
+    """C = erfc(x0 / sqrt(2 var)) as an mpmath number at ``dps`` digits.
+
+    var is the measured idler quadrature's variance written out, eta times
+    the idler's (1 + lam) / (2 (1 - lam)) plus (1 - eta) times the
+    auxiliary mode's (1 + 2 n_bar) / 2, not reduced to a vacuum auxiliary.
+    """
+    with mp.workdps(dps):
+        lam, x0, eta, n_bar = (mp.mpf(v) for v in (lam, x0, eta, n_bar))
+        var = (eta * (1 + lam) / (1 - lam) + (1 - eta) * (1 + 2 * n_bar)) / 2
+        return mp.erfc(x0 / mp.sqrt(2 * var))
+
+
 _LOG2E = 1.0 / math.log(2.0)
 # ln 2 = sum of these three (to 2^-106); k times either of the first two,
 # 20-bit parts is exact while |k| < 2^33 (Cody and Waite)

@@ -193,6 +193,14 @@ class TestSweep:
         assert run(capsys, "sweep", "--lambda", "0.2", "--x0", "1",
                    "--quantities", "bogus")[0] == 2
 
+    # at 0.99999 the truncation cap fails before any profile reads the radii
+    @pytest.mark.parametrize("lam", ["0.99999", "0.3"])
+    def test_non_finite_radii_exit_2(self, lam, capsys):
+        code, out, err = run(capsys, "sweep", "--lambda", lam, "--x0", "1",
+                             "--quantities", "husimi", "--radii", "nan,inf")
+        assert code == 2 and out == ""
+        assert err == "error: radii must be finite and nonnegative\n"
+
     @pytest.mark.parametrize("spec", [
         {"lam": 0.25, "x0": [1.0]},
         {"lam": [0.25], "x0": [1.0], "quantities": ["p_n"], "pn_max": 2.5},

@@ -3,9 +3,12 @@
 The files under ``tests/data/golden`` were written by the scalar,
 point-by-point implementation that the broadcast closed forms replaced;
 ``sweep.json``, ``fig3.csv`` and ``fig6.json`` by the row-by-row
-formatters that the column tables replaced.  A change that moves one
-output digit of these commands fails here; a change that means to move
-digits regenerates the file and says why.
+formatters that the column tables replaced.  ``sweep.csv``, ``sweep.json``,
+``fig3.csv`` and ``fig6.json`` were regenerated when C became erfc of the
+reduced threshold that the moments read; that moved only C cells, each
+within the mpmath bound of ``test_matches_mpmath_within_erfc_condition``.
+A change that moves one output digit of these commands fails here; a
+change that means to move digits regenerates the file and says why.
 
 fig4, fig5 and ``stats --pn`` print p_n, which come from numpy's FFT and
 ``exp``; their last bits follow the numpy build (numpy 2.0 replaced the

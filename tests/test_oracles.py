@@ -13,7 +13,6 @@ from _oracles import (fock_acceptance_quadrature, fock_acceptance_recurrence,
 from quadherald import oracles
 from quadherald.oracles import _log_mehler, _quadratures, _sample_orders, \
     _shot_uniforms
-from quadherald.stats import idler_quadrature_variance
 
 IDEAL = qh.DetectorModel.ideal()
 
@@ -193,7 +192,7 @@ class TestMonteCarlo:
         res = qh.monte_carlo_experiment(qh.Squeezing(0.2), w,
                                         shots=100_000, seed=9)
         # one-sided window: P(0.5 < x < 1.5) for the Gaussian marginal
-        var = idler_quadrature_variance(qh.Squeezing(0.2), IDEAL)
+        var = (1.0 + 0.2) / (2.0 * (1.0 - 0.2))
         expected = 0.5 * (gaussian_tail_two_sided(var, 0.5)
                           - gaussian_tail_two_sided(var, 1.5))
         assert abs(res.empirical_c - expected) <= \
@@ -210,7 +209,9 @@ class TestMonteCarlo:
         d = qh.DetectorModel(eta=0.8, n_bar=0.2)
         shots = 1_000_000
         _, x = _quadratures(s.lam, d, _shot_uniforms(4, 0, shots))
-        sd = math.sqrt(idler_quadrature_variance(s, d))
+        # eta times the idler's variance (1 + lam) / (2 (1 - lam)) plus
+        # (1 - eta) times the auxiliary mode's (1 + 2 n_bar) / 2
+        sd = math.sqrt((0.8 * 1.3 / 0.7 + 0.2 * 1.4) / 2.0)
         stat = kstest(x, "norm", args=(0.0, sd)).statistic
         assert stat < 1.949 / math.sqrt(shots)
 

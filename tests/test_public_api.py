@@ -1,6 +1,9 @@
 """The package's public surface and the README example that documents it."""
 
+import importlib
+import inspect
 import pathlib
+import pkgutil
 import re
 import shlex
 
@@ -26,6 +29,22 @@ def test_public_names():
     # a name added to or dropped from __all__ must be a deliberate edit here
     assert sorted(qh.__all__) == PUBLIC_NAMES
     assert all(hasattr(qh, name) for name in qh.__all__)
+
+
+def test_module_all_lists_its_public_definitions():
+    # a public function or class that a module defines is in its __all__,
+    # or gets a leading underscore
+    unlisted = []
+    for info in pkgutil.iter_modules(qh.__path__):
+        module = importlib.import_module(f"quadherald.{info.name}")
+        if not hasattr(module, "__all__"):
+            continue
+        unlisted += [f"{info.name}.{name}" for name, value in vars(module).items()
+                     if not name.startswith("_")
+                     and (inspect.isfunction(value) or inspect.isclass(value))
+                     and value.__module__ == module.__name__
+                     and name not in module.__all__]
+    assert unlisted == []
 
 
 def test_readme_library_block_runs():

@@ -229,9 +229,8 @@ class TestEfficiencyThreshold:
         # eta_th is exactly where the vacuum-reduced efficiency hits 1/2
         for nbar in (0.0, 0.5, 1.0, 3.0):
             eta = qh.efficiency_threshold(nbar)
-            d = qh.DetectorModel(eta=eta, n_bar=nbar)
-            eta_eff, _ = d.reduce_to_vacuum_auxiliary()
-            assert eta_eff == pytest.approx(0.5, abs=1e-14)
+            s = 1.0 + 2.0 * nbar * (1.0 - eta)
+            assert eta / s == pytest.approx(0.5, abs=1e-14)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
