@@ -2,11 +2,15 @@
 
 One lockstep root-finder (ITP) serves every root here.  It solves the
 threshold that reaches a target Mandel Q on many (lam, q, eta, n_bar)
-lanes at once; a single threshold is a one-lane call.  A scan and nested
-grids, each grid one lockstep call, find the squeezing that maximizes
-the heralding probability along a fixed-Q contour.  The weak-squeezing
-threshold floor is the root of the closed-form slope of Q, a one-lane
-call as well.
+lanes at once; a single threshold is a one-lane call.  Each lane's bracket
+is capped at y = 256 in the reduced threshold
+y = x0' sqrt((1 - lam) / (1 + (2 eta' - 1) lam)), not in x0: Q depends on
+x0 through y, and the x0 of a given y grows like (1 - lam)^(-1/2).  A scan
+and nested grids, each grid one lockstep call, find the squeezing that
+maximizes the heralding probability C = erfc(y) along a fixed-Q contour;
+they rank lanes by y, which does not underflow where C does.  The
+weak-squeezing threshold floor is the root of the closed-form slope of Q,
+a one-lane call as well.
 """
 
 from __future__ import annotations
@@ -16,10 +20,11 @@ from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import erfc
 
 from .errors import NonConvergenceError
-from .stats import _EPS, DetectorModel, Squeezing, _acceptance, _check_domain, _mandel_q, \
-    _moments, _where, mandel_q_slope_at_zero_squeezing
+from .stats import _EPS, DetectorModel, Squeezing, _check_domain, _mandel_q, _moments, \
+    _reduced_threshold, _where, mandel_q_slope_at_zero_squeezing
 
 __all__ = [
     "SolveReport",
@@ -29,9 +34,9 @@ __all__ = [
     "efficiency_threshold",
 ]
 
-# bracket cap in x0 units; known to be too small at strong squeezing, where
-# the root can lie beyond it (Q = 41.9 at lam = 0.999, x0 = 256)
-_X0_CAP = 256.0
+# bracket cap in y (see the module docstring); at lam = 0.999 Q is still
+# 41.9 at x0 = 256, and -0.82 at x0 = 4096
+_Y_CAP = 256.0
 _SCAN_POINTS = 50
 _LAM_LO, _LAM_HI = 1e-4, 0.999
 
@@ -55,9 +60,9 @@ class SolveReport:
 class _Roots(NamedTuple):
     """Per-lane outcome of :func:`_threshold_roots`."""
 
-    x0: np.ndarray            # root; on an infeasible lane 0 or the last bracket end
+    x0: np.ndarray            # root; on an infeasible lane 0 or the lane's cap
     residual: np.ndarray      # Q(x0) - q_target
-    iterations: np.ndarray    # bracket doublings + ITP steps
+    iterations: np.ndarray    # bracket steps (doublings, the last to the cap) + ITP steps
     x_hi: np.ndarray          # bracket [0, x_hi]; 0 when decided at x0 = 0
     feasible: np.ndarray
 
@@ -107,9 +112,11 @@ def _threshold_roots(lam, q_target, eta, n_bar) -> _Roots:
     """Thresholds x0 with Q(lam, x0) = q_target on the broadcast lanes.
 
     Q falls monotonically in x0 from lam/(1-lam) at x0 = 0, so a sign
-    change over [0, x_hi], x_hi doubled from 4 up to ``_X0_CAP``, brackets
-    the root.  :func:`_itp` shrinks each bracket to two ulps; the end with
-    the smaller |Q - q_target| is the root.
+    change over [0, x_hi] brackets the root.  x_hi doubles from 4, and its
+    last step ends on the lane's cap, the x0 whose reduced threshold y is
+    ``_Y_CAP``.  The cap is at least 256, since y <= x0, so a root up to 256
+    is bracketed by doubling alone.  :func:`_itp` shrinks each bracket to
+    two ulps; the end with the smaller |Q - q_target| is the root.
     """
     # a one-lane call of floats runs on numpy scalars, not on arrays
     lam, q_target, eta, n_bar = (v[()] for v in np.broadcast_arrays(
@@ -128,14 +135,13 @@ def _threshold_roots(lam, q_target, eta, n_bar) -> _Roots:
     b = a + _where(fa > 0.0, 4.0, 0.0)     # f(0) <= 0: decided at x0 = 0
     fb = _where(fa > 0.0, f(b), fa)
     iterations = np.zeros(lam.shape, dtype=int)[()]
+    x_cap = _Y_CAP / _reduced_threshold(lam, 1.0, eta, n_bar)
     grow = fb > 0.0
     while grow.any():
-        capped = grow & (2.0 * b > _X0_CAP)
         iterations = iterations + grow
-        grow &= ~capped
-        b = _where(grow, 2.0 * b, b)
+        b = _where(grow, np.minimum(2.0 * b, x_cap), b)
         fb = _where(grow, f(b), fb)
-        grow &= fb > 0.0
+        grow &= (fb > 0.0) & (b < x_cap)
     feasible = (fa == 0.0) | ((fa > 0.0) & (fb <= 0.0))
 
     x_hi = b
@@ -182,39 +188,43 @@ def minimum_poissonian_threshold() -> SolveReport:
 
 
 def _contour(lam, q_target, eta, n_bar) -> tuple[_Roots, np.ndarray]:
-    """Roots and the heralding probability C at them, lane by lane; C = -inf
-    where the Q = q_target contour does not reach lam."""
+    """Roots and the reduced threshold y at them, lane by lane; y = +inf where
+    the Q = q_target contour does not reach lam.  The heralding probability
+    there is C = erfc(y), which underflows from y ~ 27 on; y does not."""
     roots = _threshold_roots(lam, q_target, eta, n_bar)
-    return roots, np.where(roots.feasible, _acceptance(lam, roots.x0, eta, n_bar), -np.inf)
+    return roots, np.where(roots.feasible, _reduced_threshold(lam, roots.x0, eta, n_bar),
+                           np.inf)
 
 
 def optimal_squeezing_for_mandel_q(q_target: float,
                                    d: DetectorModel | None = None) -> SolveReport:
     """Squeezing that maximizes the heralding probability at fixed Mandel Q.
 
-    A coarse scan over lam checks feasibility; nested grids of 33 points
+    C = erfc(y) falls as the reduced threshold y grows, so the lanes are
+    ranked by y: its argmin is C's argmax, also where C underflows.  A
+    coarse scan over lam checks feasibility; nested grids of 33 points
     around the best point then localize the maximum without assuming it is
     unique, each grid one lockstep call.  A maximum sitting on the first
     scan point is reported as a boundary supremum (the probability only
-    grows as lam -> 0).
+    grows as lam -> 0).  ``value`` is C in double precision.
     """
     d = d or DetectorModel.ideal()
 
-    def probability(lams: np.ndarray) -> np.ndarray:
+    def reduced_threshold(lams: np.ndarray) -> np.ndarray:
         return _contour(lams, q_target, d.eta, d.n_bar)[1]
 
     lams = np.linspace(_LAM_LO, _LAM_HI, _SCAN_POINTS)
-    values = probability(lams)
+    values = reduced_threshold(lams)
     evals = _SCAN_POINTS
     if not np.any(np.isfinite(values)):
         return SolveReport(solution=math.nan, residual=math.nan,
                            iterations=evals, bracket=(_LAM_LO, _LAM_HI),
                            feasible=False)
-    best = int(np.argmax(values))
+    best = int(np.argmin(values))
     if best == 0:
         return SolveReport(solution=float(lams[0]), residual=0.0,
                            iterations=evals, bracket=(_LAM_LO, _LAM_HI),
-                           feasible=True, value=float(values[0]), boundary=True)
+                           feasible=True, value=float(erfc(values[0])), boundary=True)
 
     bracket = (float(lams[best - 1]), float(lams[min(best + 1, _SCAN_POINTS - 1)]))
     lo, hi = bracket
@@ -222,12 +232,12 @@ def optimal_squeezing_for_mandel_q(q_target: float,
     # is flat to rounding
     for _ in range(5):
         grid = np.linspace(lo, hi, 33)
-        values = probability(grid)
+        values = reduced_threshold(grid)
         evals += 33
-        j = int(np.argmax(values))
+        j = int(np.argmin(values))
         lo, hi = float(grid[max(j - 1, 0)]), float(grid[min(j + 1, 32)])
     return SolveReport(solution=float(grid[j]), residual=hi - lo, iterations=evals,
-                       bracket=bracket, feasible=True, value=float(values[j]))
+                       bracket=bracket, feasible=True, value=float(erfc(values[j])))
 
 
 def efficiency_threshold(n_bar: float) -> float:

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.special import erfc
 
 from . import __version__
 from .errors import NonConvergenceError, UndefinedQError
@@ -192,9 +193,10 @@ def _contour_columns(q, eta, lam, **_) -> dict:
     _check_domain(grid=True, eta=eta)
     columns = _grid_columns({"q_target": q, "eta": eta, "lam": lam})
     q, eta, lam = (g.ravel() for g in np.meshgrid(q, eta, lam, indexing="ij"))
-    roots, c = _contour(lam, q, eta, 0.0)
+    roots, y = _contour(lam, q, eta, 0.0)
     return {**columns, "x0_required": _emptied(roots.x0, ~roots.feasible),
-            "acceptance_probability": _emptied(c, ~roots.feasible), "feasible": roots.feasible}
+            "acceptance_probability": _emptied(erfc(y), ~roots.feasible),
+            "feasible": roots.feasible}
 
 
 def _fig2_columns(lam, x0) -> dict:

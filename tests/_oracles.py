@@ -1,6 +1,11 @@
-"""Independent numerical oracles used only by the test suite.
+"""Independent routes in the Fock basis, used only by the test suite.
 
-Nothing here may import from quadherald: these routes exist to check the
+Direct quadrature of the q_n integrals, the psi_n recurrence and its exact
+and mpmath forms, the binomial mixture of a lossy detector, and the mpmath
+p_n and Wigner function of a Fock state.  The closed forms (C, the moments,
+Q and the thresholds) are checked against ``_reference.py`` instead, which
+derives them from the generating function.  Nothing here may import from
+quadherald (``test_oracles.py`` checks it): these routes exist to check the
 package against arithmetic that shares none of its code paths.
 """
 
@@ -11,52 +16,6 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 from scipy import special as sp
-
-
-def erf_series(x: float) -> float:
-    """Maclaurin series for erf, summed to machine precision (|x| <= 2)."""
-    total = 0.0
-    power = x  # (-1)^k x^(2k+1) / k!, built incrementally
-    k = 0
-    while True:
-        term = power / (2 * k + 1)
-        total += term
-        if abs(term) < 1e-20 * max(abs(total), 1e-300):
-            break
-        k += 1
-        power *= -x * x / k
-    return 2.0 / math.sqrt(math.pi) * total
-
-
-def erfc_continued_fraction(x: float, iters: int = 400) -> float:
-    """Lentz evaluation of sqrt(pi) e^{x^2} erfc(x) as a continued fraction.
-
-    Valid for x > 0; converges fast for x >= 1.5 or so.
-    """
-    tiny = 1e-300
-    f = x if x != 0.0 else tiny
-    c, d = f, 0.0
-    for k in range(1, iters):
-        a, b = k / 2.0, x
-        d = b + a * d
-        d = tiny if d == 0.0 else d
-        c = b + a / c
-        c = tiny if c == 0.0 else c
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    return math.exp(-x * x) / (math.sqrt(math.pi) * f)
-
-
-def erf_oracle(x: float) -> float:
-    """erf via Taylor series (small |x|) / continued fraction (large |x|)."""
-    if x < 0.0:
-        return -erf_oracle(-x)
-    if x <= 2.0:
-        return erf_series(x)
-    return 1.0 - erfc_continued_fraction(x)
 
 
 def hermite_coefficients(n_max: int) -> list[list[int]]:
@@ -87,25 +46,6 @@ def psi_exact(n: int, x) -> float:
              * mp.exp(-xm * xm / 2)
              / mp.sqrt(mp.mpf(2) ** n * mp.factorial(n) * mp.sqrt(mp.pi)))
     return float(value)
-
-
-def gaussian_tail_two_sided(variance: float, x0: float) -> float:
-    """P(|X| > x0) for X ~ N(0, variance), on libm's erfc."""
-    return math.erfc(x0 / math.sqrt(2.0 * variance))
-
-
-def acceptance_probability_mp(lam: float, x0: float, eta: float = 1.0,
-                              n_bar: float = 0.0, dps: int = 50):
-    """C = erfc(x0 / sqrt(2 var)) as an mpmath number at ``dps`` digits.
-
-    var is the measured idler quadrature's variance written out, eta times
-    the idler's (1 + lam) / (2 (1 - lam)) plus (1 - eta) times the
-    auxiliary mode's (1 + 2 n_bar) / 2, not reduced to a vacuum auxiliary.
-    """
-    with mp.workdps(dps):
-        lam, x0, eta, n_bar = (mp.mpf(v) for v in (lam, x0, eta, n_bar))
-        var = (eta * (1 + lam) / (1 - lam) + (1 - eta) * (1 + 2 * n_bar)) / 2
-        return mp.erfc(x0 / mp.sqrt(2 * var))
 
 
 _LOG2E = 1.0 / math.log(2.0)
@@ -268,43 +208,6 @@ def fock_acceptance_recurrence(n_max: int, x0: float) -> np.ndarray:
     return np.clip(q, 0.0, 1.0)
 
 
-def moment_via_generating_function(k: int, lam: float, x0: float,
-                                   eta: float = 1.0, n_bar: float = 0.0,
-                                   ordering: str = "raw",
-                                   h: float = 1e-4) -> float:
-    """Photon-number moment from lam-derivatives of C(lam) / (1 - lam).
-
-    C(lam) / (1 - lam) = sum_n lam^n q_n generates the raw moments
-    through (lam d/dlam)^k and the normally ordered ones through
-    lam^k d^k/dlam^k (k <= 2).  C is the two-sided tail of the measured
-    quadrature, whose variance is eta times the idler's
-    (1 + lam) / (2 (1 - lam)) plus (1 - eta) times the auxiliary mode's
-    (1 + 2 n_bar) / 2.  Central differences, one Richardson step.
-    """
-    if k == 0:
-        return 1.0
-
-    def f(t: float) -> float:
-        variance = (eta * (1.0 + t) / (1.0 - t)
-                    + (1.0 - eta) * (1.0 + 2.0 * n_bar)) / 2.0
-        return gaussian_tail_two_sided(variance, x0) / (1.0 - t)
-
-    def d1(step: float) -> float:
-        return (f(lam + step) - f(lam - step)) / (2.0 * step)
-
-    def d2(step: float) -> float:
-        return (f(lam + step) - 2.0 * f(lam) + f(lam - step)) / (step * step)
-
-    fp = (4.0 * d1(h / 2) - d1(h)) / 3.0
-    norm = 1.0 / f(lam)                    # (1 - lam) / C
-    if k == 1:
-        return norm * lam * fp
-    fpp = (4.0 * d2(h / 2) - d2(h)) / 3.0
-    if ordering == "normal":
-        return norm * lam * lam * fpp
-    return norm * lam * (fp + lam * fpp)
-
-
 @functools.lru_cache(maxsize=8)
 def _smeared_pdf_rule(n: int, eta: float, n_bar: float):
     """Nodes x' and weights times psi_n(x')^2 for fock_smeared_quadrature_pdf."""
@@ -399,25 +302,3 @@ def oscillator_eigenfunction_mp(n: int, x: float, dps: int = 50) -> float:
         norm = mp.sqrt(mp.mpf(2) ** n * mp.factorial(n) * mp.sqrt(mp.pi))
         return float(mp.hermite(n, x) * mp.exp(-x * x / 2) / norm)
 
-
-def mandel_q_mp(lam: float, x0: float, eta: float = 1.0, n_bar: float = 0.0,
-                dps: int = 40):
-    """Mandel Q of the heralded state as an mpmath number at ``dps`` digits.
-
-    The closed form with the thermal auxiliary mode reduced to vacuum
-    (eta' = eta / s, x0' = x0 / sqrt(s), s = 1 + 2 n_bar (1 - eta)) and
-    exp(-z^2) / erfc(z) written out, not through erfcx.
-    """
-    with mp.workdps(dps):
-        lam, x0, eta, n_bar = (mp.mpf(v) for v in (lam, x0, eta, n_bar))
-        s = 1 + 2 * n_bar * (1 - eta)
-        eta, x0 = eta / s, x0 / mp.sqrt(s)
-        u, v = 1 - lam, 1 + (2 * eta - 1) * lam
-        z = x0 * mp.sqrt(u / v)
-        common = (2 * eta * x0 * mp.exp(-z * z)
-                  / (mp.sqrt(mp.pi) * mp.sqrt(u * v ** 3) * mp.erfc(z)))
-        mean = lam / u + lam * common
-        second = (2 * lam ** 2 / u ** 2 + lam ** 2 * common
-                  * ((4 - 3 * eta + 4 * (2 * eta - 1) * lam) / (u * v)
-                     + 2 * eta * x0 ** 2 / v ** 2))
-        return (second - mean ** 2) / mean

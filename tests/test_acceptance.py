@@ -12,9 +12,9 @@ import time
 import numpy as np
 import pytest
 
+import _reference as ref
 import quadherald as qh
-from _oracles import (fock_acceptance_quadrature, moment_via_generating_function,
-                      threshold_window)
+from _oracles import fock_acceptance_quadrature, threshold_window
 from quadherald.cli import main
 from quadherald.sweeps import _CONTOUR_LAMS
 
@@ -103,11 +103,10 @@ def test_05_moment_consistency():
                     second = qh.second_factorial_moment(s, w, d)
                     assert abs(mean - float(n @ stats.p)) <= 1e-6
                     assert abs(second - float((n * (n - 1.0)) @ stats.p)) <= 1e-6
-                    fd_mean = moment_via_generating_function(1, lam, x0, eta)
-                    fd_second = moment_via_generating_function(
-                        2, lam, x0, eta, ordering="normal")
-                    assert abs(fd_mean - mean) <= 1e-5
-                    assert abs(fd_second - second) <= 1e-5
+                    exact = ref.moments(lam, x0, eta)
+                    assert abs(mean - exact.mean) <= 1e-12 * exact.mean
+                    assert abs(second - exact.second_factorial) <= \
+                        1e-12 * exact.second_factorial
 
 
 def test_06_heterodyne_equivalence():

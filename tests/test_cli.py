@@ -459,6 +459,14 @@ class TestSolveCommand:
         assert code == 0 and record["feasible"]
         assert record["solution"] == pytest.approx(2.0, abs=0.02)
 
+    def test_x0_for_q_beyond_x0_256(self, capsys):
+        # the root, 2448.6, lies past the old bracket cap of x0 = 256
+        code, out, _ = run(capsys, "solve", "x0-for-q", "--lambda", "0.999",
+                           "--q", "-0.5")
+        record = json.loads(out)
+        assert code == 0 and record["feasible"] is True
+        assert record["solution"] == pytest.approx(2448.6063, rel=1e-7)
+
     def test_optimal_lambda_boundary(self, capsys):
         code, out, _ = run(capsys, "solve", "optimal-lambda", "--q", "0")
         record = json.loads(out)

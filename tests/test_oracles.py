@@ -1,15 +1,18 @@
+import ast
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.stats import chisquare, kstest
 
+import _reference as ref
 import quadherald as qh
 from _oracles import (fock_acceptance_quadrature, fock_acceptance_recurrence,
-                      fock_smeared_quadrature_pdf, gaussian_tail_two_sided,
-                      oscillator_eigenfunctions, threshold_window)
+                      fock_smeared_quadrature_pdf, oscillator_eigenfunctions,
+                      threshold_window)
 from quadherald import oracles
 from quadherald.oracles import _log_mehler, _quadratures, _sample_orders, \
     _shot_uniforms
@@ -19,6 +22,16 @@ IDEAL = qh.DetectorModel.ideal()
 
 def thr(x0):
     return qh.AcceptanceWindow.threshold(x0)
+
+
+@pytest.mark.parametrize("name", ["_oracles.py", "_reference.py"])
+def test_independent_checks_import_nothing_from_the_package(name):
+    tree = ast.parse((pathlib.Path(__file__).parent / name).read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    assert not [m for m in imported if m.split(".")[0] == "quadherald"], imported
 
 
 class TestQuadratureOracle:
@@ -191,10 +204,8 @@ class TestMonteCarlo:
         w = qh.AcceptanceWindow.from_intervals([(0.5, 1.5)])
         res = qh.monte_carlo_experiment(qh.Squeezing(0.2), w,
                                         shots=100_000, seed=9)
-        # one-sided window: P(0.5 < x < 1.5) for the Gaussian marginal
-        var = (1.0 + 0.2) / (2.0 * (1.0 - 0.2))
-        expected = 0.5 * (gaussian_tail_two_sided(var, 0.5)
-                          - gaussian_tail_two_sided(var, 1.5))
+        # one-sided window: P(0.5 < x < 1.5), half the difference of two tails
+        expected = float(ref.acceptance(0.2, 0.5) - ref.acceptance(0.2, 1.5)) / 2
         assert abs(res.empirical_c - expected) <= \
             4 * math.sqrt(expected * (1 - expected) / res.shots)
 

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erfc, erfcx
 
+import _reference as ref
 import quadherald as qh
-from _oracles import mandel_q_mp
 from quadherald import solvers
 from quadherald.sweeps import FigureJob, build_figure
 
@@ -61,9 +62,22 @@ class TestThresholdForQ:
         rep = qh.solve_threshold_for_mandel_q(qh.Squeezing(0.2), 0.0,
                                               qh.DetectorModel(eta=0.45))
         assert not rep.feasible
-        # doubled from 4 to the cap: 7 doublings, the last one past 256
-        assert rep.bracket == (0.0, 256.0) and rep.solution == 256.0
+        # doubled from 4 to 256, then one step to the cap, the x0 whose
+        # y = x0 sqrt((1 - lam) / (1 + (2 eta - 1) lam)) is 256
+        x_cap = 256.0 / math.sqrt(0.8 / 0.98)
+        assert rep.bracket[0] == 0.0
+        assert rep.solution == rep.bracket[1] == pytest.approx(x_cap, rel=1e-15)
         assert rep.iterations == 7 and rep.residual > 0.0
+
+    @pytest.mark.parametrize("lam, q", [(0.99, -0.9), (0.999, -0.05), (0.999, -0.5),
+                                         (0.9999, 0.0), (0.99, -0.99)])
+    def test_strong_squeezing_roots_beyond_x0_256(self, lam, q):
+        # each was reported infeasible while the bracket was capped at x0 = 256;
+        # the last, at y = 173, lies past the last doubling (2048, y = 145)
+        rep = qh.solve_threshold_for_mandel_q(qh.Squeezing(lam), q)
+        assert rep.feasible and rep.solution > 256.0
+        exact = ref.threshold_for_q(lam, q)
+        assert abs(rep.solution - exact) <= 1e-7 * exact
 
     def test_just_above_half_is_feasible(self):
         rep = qh.solve_threshold_for_mandel_q(qh.Squeezing(0.05), 0.0,
@@ -138,8 +152,19 @@ class TestLockstepSolver:
         rng = np.random.default_rng(3)
         for k in feasible[rng.choice(len(feasible), 24, replace=False)]:
             x0 = columns["x0_required"][k]
-            q = mandel_q_mp(lam[k], x0, eta[k])
+            q = ref.moments(lam[k], x0, eta[k]).Q
             assert abs(float(q - q_target[k])) <= 1e-12, (lam[k], x0, eta[k], q_target[k])
+
+    @pytest.mark.parametrize("fig", ["fig3", "fig6"])
+    def test_infeasible_contour_lanes_stay_above_target_up_to_the_cap(self, fig):
+        columns = build_figure(FigureJob(fig))[2].columns
+        lam, eta, q_target = (np.take(columns[name].values, columns[name].codes)
+                              for name in ("lam", "eta", "q_target"))
+        infeasible = np.flatnonzero(~columns["feasible"])
+        assert len(infeasible) > 0
+        for k in infeasible:
+            x_cap = ref.threshold_at(lam[k], ref.Y_CAP, eta[k])
+            assert ref.moments(lam[k], x_cap, eta[k]).Q > q_target[k], (lam[k], eta[k])
 
 
 class TestMinimumPoissonianThreshold:
@@ -202,6 +227,23 @@ class TestOptimalSqueezing:
         fine = qh.optimal_squeezing_for_mandel_q(-0.05)
         assert coarse.solution == pytest.approx(fine.solution, abs=1e-4)
         assert coarse.value == pytest.approx(fine.value, abs=1e-4)
+
+    def test_argmax_where_the_probability_underflows(self):
+        # the contour reaches q = -0.96 only where C is 0.0 in double
+        # precision; ranked by C, the first feasible scan point won
+        rep = qh.optimal_squeezing_for_mandel_q(-0.96)
+        assert rep.feasible and not rep.boundary
+        lams = np.linspace(0.9, 0.999, 991)
+        y = solvers._contour(lams, -0.96, 1.0, 0.0)[1]
+        best = int(np.argmin(y))
+        assert 0 < best < len(lams) - 1
+        assert abs(rep.solution - lams[best]) <= lams[1] - lams[0]
+        roots, y_at = solvers._contour(rep.solution, -0.96, 1.0, 0.0)
+        assert rep.value == erfc(y_at) == 0.0
+        # y keeps what C loses: log10 C = log10 erfcx(y) - y^2 log10(e), about -814.7
+        log10_c = math.log10(erfcx(y_at)) - y_at * y_at / math.log(10.0)
+        assert log10_c == pytest.approx(
+            float(ref.log10_acceptance(rep.solution, roots.x0)), rel=1e-12)
 
     def test_infeasible_below_efficiency_threshold(self):
         rep = qh.optimal_squeezing_for_mandel_q(0.0, qh.DetectorModel(eta=0.45))

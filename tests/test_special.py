@@ -3,14 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad, quad_vec
 
+import _reference as ref
 import quadherald as qh
-from _oracles import (erf_oracle, fock_acceptance_quadrature, gaussian_tail_two_sided,
-                      oscillator_eigenfunction_mp, oscillator_eigenfunctions, psi_exact,
-                      threshold_window)
+from _oracles import (fock_acceptance_quadrature, oscillator_eigenfunction_mp,
+                      oscillator_eigenfunctions, psi_exact, threshold_window)
 
 
 def thr(x0):
@@ -30,16 +30,16 @@ class TestErf:
         assert package_erfc(0.0) == 1.0
 
     def test_frozen_oracle_values(self):
-        # erf values computed with the series / continued-fraction oracle
+        # erf values at 60 digits, rounded to double
         assert 1.0 - package_erfc(0.4248) == pytest.approx(0.45199876566328057,
                                                            abs=1e-14)
         assert 1.0 - package_erfc(2.0) == pytest.approx(0.9953222650189527, abs=1e-14)
 
     def test_grid_agreement_with_independent_oracle(self):
+        # C(0) = erfc(x0) of the reference; the worst distance was 1.6e-16
         grid = np.linspace(0.0, 6.0, 1000)
-        worst = max(abs(package_erfc(float(x)) - (1.0 - erf_oracle(float(x))))
-                    for x in grid)
-        assert worst <= 1e-13
+        worst = max(abs(package_erfc(float(x)) - ref.acceptance(0.0, x)) for x in grid)
+        assert worst <= 1e-15
 
     def test_vectorized_matches_scalar(self):
         # q_0 of the q_n table is erfc(x0') too, bit for bit, for every detector
@@ -160,28 +160,3 @@ class TestFockQuadraturePdf:
         # the oracle integrates psi_n^2 over |x| > 0, i.e. the whole line
         q, _ = fock_acceptance_quadrature(n, threshold_window(0.0))
         assert q[n] == pytest.approx(1.0, abs=1e-10)
-
-
-class TestGaussianTail:
-    @given(st.floats(1e-3, 1e3))
-    def test_full_support(self, variance):
-        assert gaussian_tail_two_sided(variance, 0.0) == 1.0
-
-    def test_weak_squeezing_idler_tail(self):
-        # two-sided tail of N(0, 1/2) beyond 0.4248, vs quadrature oracle
-        assert gaussian_tail_two_sided(0.5, 0.4248) == pytest.approx(
-            0.54800123433671944, abs=1e-12)
-
-    def test_idler_marginal_tail(self):
-        # variance (1+lam)/(2(1-lam)) at lam = 0.25, threshold 2
-        assert gaussian_tail_two_sided(1.25 / 1.5, 2.0) == pytest.approx(
-            0.028459736916310577, abs=1e-12)
-
-    @settings(max_examples=25)
-    @given(st.floats(0.1, 5.0), st.floats(0.0, 5.0))
-    def test_matches_density_quadrature(self, variance, x0):
-        density = lambda t: math.exp(-t * t / (2 * variance)) \
-            / math.sqrt(2 * math.pi * variance)
-        expected, _ = quad(density, x0, x0 + 40 * math.sqrt(variance))
-        assert gaussian_tail_two_sided(variance, x0) == pytest.approx(
-            2 * expected, abs=1e-9)

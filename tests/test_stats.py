@@ -1,15 +1,16 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc
 
+import _reference as ref
 import quadherald as qh
-from _oracles import (acceptance_probability_mp, fock_acceptance_binomial_mixture,
-                      fock_acceptance_recurrence, gaussian_tail_two_sided,
-                      heralded_distribution_mp, moment_via_generating_function)
+from _oracles import (fock_acceptance_binomial_mixture, fock_acceptance_recurrence,
+                      heralded_distribution_mp)
 from quadherald import stats as stats_module
 from quadherald.sweeps import SweepSpec
 
@@ -152,9 +153,8 @@ class TestAcceptanceProbability:
     @given(st.floats(0.0, 0.95), st.floats(0.0, 6.0))
     def test_equals_idler_marginal_tail(self, lam, x0):
         s = qh.Squeezing(lam)
-        variance = (1.0 + lam) / (2.0 * (1.0 - lam))
         assert qh.acceptance_probability_imperfect(s, thr(x0)) == pytest.approx(
-            gaussian_tail_two_sided(variance, x0), rel=1e-13, abs=1e-300)
+            float(ref.acceptance(lam, x0)), rel=1e-13, abs=1e-300)
 
     def test_matches_mpmath_within_erfc_condition(self):
         # |C - C_mp| <= k (1 + y^2) eps C_mp with k = 24, y = x0 / sqrt(2 var):
@@ -168,7 +168,7 @@ class TestAcceptanceProbability:
         nbar = rng.choice([0.0, 0.3, 2.0], n)
         eps, checked = np.finfo(float).eps, 0
         for args in zip(lam.tolist(), x0.tolist(), eta.tolist(), nbar.tolist()):
-            exact = acceptance_probability_mp(*args)
+            exact = ref.acceptance(*args)
             if exact < np.finfo(float).tiny:          # C underflows
                 continue
             lam_i, x0_i, eta_i, nbar_i = args
@@ -201,10 +201,8 @@ class TestAcceptanceProbability:
 
     def test_imperfect_matches_variance_tail(self):
         s, d = qh.Squeezing(0.3), qh.DetectorModel(eta=0.8, n_bar=0.2)
-        variance = (1.0 + 2 * 0.2 * 0.2
-                    + 0.3 * (2 * 0.8 * 1.2 - 1.0 - 0.4)) / (2.0 * 0.7)
         assert qh.acceptance_probability_imperfect(s, thr(1.5), d) == \
-            pytest.approx(gaussian_tail_two_sided(variance, 1.5), rel=1e-13)
+            pytest.approx(float(ref.acceptance(0.3, 1.5, 0.8, 0.2)), rel=1e-13)
 
     @given(st.floats(0.0, 0.95), st.floats(0.0, 4.0),
            st.floats(0.05, 1.0), st.floats(0.0, 4.0))
@@ -529,36 +527,32 @@ class TestMoments:
 # ---------------------------------------------------------------------------
 
 class TestGeneratingFunctionRoute:
-    def test_zeroth_moment_is_one(self):
-        assert moment_via_generating_function(0, 0.3, 1.0) == 1.0
+    """The closed forms against lam G'/G and lam^2 G''/G of G(t) = C(t) / (1 - t)."""
 
     @pytest.mark.parametrize("detector", [IDEAL, qh.DetectorModel(eta=0.8),
                                           qh.DetectorModel(eta=0.7, n_bar=0.4)])
     def test_first_moment_matches_closed_form(self, detector):
         s, w = qh.Squeezing(0.2), thr(1.0)
-        assert moment_via_generating_function(
-            1, 0.2, 1.0, detector.eta, detector.n_bar) == \
-            pytest.approx(qh.mean_photon_number(s, w, detector), abs=1e-6)
+        exact = float(ref.moments(0.2, 1.0, detector.eta, detector.n_bar).mean)
+        assert qh.mean_photon_number(s, w, detector) == pytest.approx(exact, rel=1e-12)
 
     @pytest.mark.parametrize("detector", [IDEAL, qh.DetectorModel(eta=0.8),
                                           qh.DetectorModel(eta=0.7, n_bar=0.4)])
     def test_second_normal_moment_matches_closed_form(self, detector):
         s, w = qh.Squeezing(0.2), thr(1.0)
-        assert moment_via_generating_function(
-            2, 0.2, 1.0, detector.eta, detector.n_bar, ordering="normal") == \
-            pytest.approx(qh.second_factorial_moment(s, w, detector), abs=1e-5)
+        exact = float(ref.moments(0.2, 1.0, detector.eta, detector.n_bar).second_factorial)
+        assert qh.second_factorial_moment(s, w, detector) == pytest.approx(exact, rel=1e-12)
 
     def test_raw_second_moment_identity(self):
-        # <n^2> = <n(n-1)> + <n>
+        # <n^2> = <n(n-1)> + <n> = (lam d/dlam)^2 G / G
         s, w = qh.Squeezing(0.3), thr(1.5)
-        raw2 = moment_via_generating_function(2, 0.3, 1.5, ordering="raw")
-        assert raw2 == pytest.approx(
-            qh.second_factorial_moment(s, w) + qh.mean_photon_number(s, w),
-            abs=2e-5)
+        exact = ref.moments(0.3, 1.5)
+        raw2 = qh.second_factorial_moment(s, w) + qh.mean_photon_number(s, w)
+        assert raw2 == pytest.approx(float(exact.second_factorial + exact.mean), rel=1e-12)
 
     def test_thermal_auxiliary_against_generating_function(self):
-        # the n_bar > 0 reduction vs direct derivatives of the full
-        # acceptance probability, 20 sample points
+        # the n_bar > 0 reduction vs derivatives of the full acceptance
+        # probability, whose variance is not reduced, 20 sample points
         rng = np.random.default_rng(42)
         for _ in range(20):
             lam = float(rng.uniform(0.05, 0.8))
@@ -567,11 +561,10 @@ class TestGeneratingFunctionRoute:
             nbar = float(rng.uniform(0.05, 2.0))
             s, w = qh.Squeezing(lam), thr(x0)
             d = qh.DetectorModel(eta=eta, n_bar=nbar)
-            assert moment_via_generating_function(1, lam, x0, eta, nbar) == \
-                pytest.approx(qh.mean_photon_number(s, w, d), abs=1e-6)
-            assert moment_via_generating_function(
-                2, lam, x0, eta, nbar, "normal") == \
-                pytest.approx(qh.second_factorial_moment(s, w, d), abs=1e-5)
+            exact = ref.moments(lam, x0, eta, nbar)
+            assert qh.mean_photon_number(s, w, d) == pytest.approx(float(exact.mean), rel=1e-12)
+            assert qh.second_factorial_moment(s, w, d) == \
+                pytest.approx(float(exact.second_factorial), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -612,6 +605,24 @@ class TestWeakSqueezingSlope:
             slope = qh.mandel_q_slope_at_zero_squeezing(x0)
             quotient = qh.mandel_q(qh.Squeezing(1e-6), thr(x0)) / 1e-6
             assert slope == pytest.approx(quotient, rel=1e-4, abs=1e-6)
+
+    @pytest.mark.parametrize("eta", [1.0, 0.8])
+    def test_slope_at_large_thresholds(self, eta):
+        # it tends to 2 - 4 eta; the form that cancelled terms of order x0^4
+        # gave -2.0000014 at x0 = 1e5, 0.0 at 1e8 and -24178.5 at 1e10
+        d = qh.DetectorModel(eta=eta)
+        with mp.workdps(60):
+            e = mp.mpf(eta)
+            for x0 in (3.0, 10.0, 1e3, 1e5):
+                x = mp.mpf(x0)
+                g = 2 * x / (mp.sqrt(mp.pi) * mp.erfc(x) * mp.exp(x * x))
+                exact = (1 + e * g * (2 - 3 * e) + 2 * e * e * g * x * x
+                         - (e * g) ** 2) / (1 + e * g)
+                assert qh.mandel_q_slope_at_zero_squeezing(x0, d) == \
+                    pytest.approx(float(exact), rel=4e-15)
+        for x0 in (1e8, 1e10, 1e50, 1e200):
+            assert qh.mandel_q_slope_at_zero_squeezing(x0, d) == \
+                pytest.approx(2.0 - 4.0 * eta, rel=1e-15)
 
     def test_slope_with_detector(self):
         d = qh.DetectorModel(eta=0.8, n_bar=0.3)
