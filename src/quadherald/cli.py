@@ -21,8 +21,8 @@ from .oracles import monte_carlo_experiment
 from .solvers import (efficiency_threshold, minimum_poissonian_threshold,
                       optimal_squeezing_for_mandel_q,
                       solve_threshold_for_mandel_q)
-from .stats import (AcceptanceWindow, DetectorModel, Squeezing,
-                    acceptance_probability_imperfect, mandel_q,
+from .stats import (AcceptanceWindow, DetectorModel, Squeezing, _check_domain, _mandel_q,
+                    _scalar_moments, acceptance_probability_imperfect, mandel_q,
                     mean_photon_number, photon_distribution)
 from .sweeps import (FigureJob, SweepSpec, _json_safe, _Table, build_figure, format_csv,
                      format_json, run_sweep, FIGURE_IDS)
@@ -65,21 +65,24 @@ def _detector(args) -> DetectorModel:
 
 
 def _cmd_stats(args) -> int:
+    """The closed forms at one point; with --pn also the distribution p_n,
+    its order N (n_max) and its tail bound, from the FFT that only p_n needs."""
     if args.lam == 0.0:
         raise UndefinedQError("Mandel Q is undefined at lambda = 0")
+    _check_domain(tol=args.tol)
     s = Squeezing(args.lam)
     w = AcceptanceWindow.threshold(args.x0)
     d = _detector(args)
-    stats = photon_distribution(s, w, d, tol=args.tol)
+    mean, second = _scalar_moments(s, w, d)
     record = {
         "lambda": args.lam, "x0": args.x0, "eta": args.eta, "nbar": args.nbar,
-        "tol": args.tol,
-        **{name: getattr(stats, name) for name in (
-            "acceptance_probability", "mean_n", "second_factorial", "mandel_q", "n_max",
-            "truncation_error_bound")},
+        "tol": args.tol, "acceptance_probability": acceptance_probability_imperfect(s, w, d),
+        "mean_n": mean, "second_factorial": second, "mandel_q": _mandel_q(mean, second),
     }
     if args.pn:
-        record["p"] = [float(v) for v in stats.p]
+        stats = photon_distribution(s, w, d, tol=args.tol)
+        record.update(n_max=stats.n_max, truncation_error_bound=stats.truncation_error_bound,
+                      p=[float(v) for v in stats.p])
     _emit_record(record, args.format, args.out)
     return 0
 

@@ -2,7 +2,7 @@
 
 Direct quadrature of the q_n integrals, the psi_n recurrence and its exact
 and mpmath forms, the binomial mixture of a lossy detector, and the mpmath
-p_n and Wigner function of a Fock state.  The closed forms (C, the moments,
+p_n and the Husimi and Wigner functions of a Fock state.  The closed forms (C, the moments,
 Q and the thresholds) are checked against ``_reference.py`` instead, which
 derives them from the generating function.  Nothing here may import from
 quadherald (``test_oracles.py`` checks it): these routes exist to check the
@@ -293,6 +293,13 @@ def fock_wigner_mp(n: int, r: float, dps: int = 60) -> float:
     with mp.workdps(dps):
         z = 2 * mp.mpf(r) ** 2
         return float((-1) ** n * mp.exp(-z / 2) * mp.laguerre(n, 0, z) / mp.pi)
+
+
+def fock_husimi_mp(n: int, r: float, dps: int = 50):
+    """Husimi function e^{-r^2} r^{2n} / (n! pi) of |n> in mpmath, as an mpf."""
+    with mp.workdps(dps):
+        r = mp.mpf(r)
+        return mp.exp(-r * r) * r ** (2 * n) / (mp.factorial(n) * mp.pi)
 
 
 def oscillator_eigenfunction_mp(n: int, x: float, dps: int = 50) -> float:

@@ -86,8 +86,35 @@ class TestStats:
         assert code == 2 and "undefined" in err
 
     def test_nonconvergence_exits_3(self, capsys):
-        code, _, err = run(capsys, "stats", "--lambda", "0.99999", "--x0", "1")
+        code, _, err = run(capsys, "stats", "--pn", "--lambda", "0.99999", "--x0", "1")
         assert code == 3 and "cap" in err
+
+    @pytest.mark.parametrize("lam, x0", [
+        (0.9999, 2.0),      # p_n would need more orders than the cap
+        (0.99, 2443.25),    # C underflows; the root of x0-for-q at q = -0.99
+    ])
+    def test_closed_forms_need_no_distribution(self, capsys, lam, x0):
+        code, out, _ = run(capsys, "stats", "--lambda", str(lam), "--x0", str(x0))
+        assert code == 0
+        record = json.loads(out)
+        s, w = qh.Squeezing(lam), qh.AcceptanceWindow.threshold(x0)
+        assert record["acceptance_probability"] == qh.acceptance_probability_imperfect(s, w)
+        assert record["mean_n"] == qh.mean_photon_number(s, w)
+        assert record["second_factorial"] == qh.second_factorial_moment(s, w)
+        assert record["mandel_q"] == qh.mandel_q(s, w)
+        assert "n_max" not in record and "truncation_error_bound" not in record
+
+    def test_distribution_fields_come_with_pn(self, capsys):
+        argv = ["stats", "--lambda", "0.25", "--x0", "2", "--eta", "0.9"]
+        plain = json.loads(run(capsys, *argv)[1])
+        full = json.loads(run(capsys, *argv, "--pn")[1])
+        assert list(full) == [*plain, "n_max", "truncation_error_bound", "p"]
+        assert {key: full[key] for key in plain} == plain
+        assert full["n_max"] == len(full["p"]) - 1
+
+    def test_bad_tol_exits_2_without_pn(self, capsys):
+        code, _, err = run(capsys, "stats", "--lambda", "0.25", "--x0", "2", "--tol", "0")
+        assert code == 2 and "tol" in err
 
     def test_bad_usage_exits_2(self, capsys):
         assert run(capsys, "stats", "--x0", "1")[0] == 2

@@ -7,6 +7,9 @@ formatters that the column tables replaced.  ``sweep.csv``, ``sweep.json``,
 ``fig3.csv`` and ``fig6.json`` were regenerated when C became erfc of the
 reduced threshold that the moments read; that moved only C cells, each
 within the mpmath bound of ``test_matches_mpmath_within_erfc_condition``.
+``stats.json`` was regenerated when ``stats`` without ``--pn`` stopped
+computing p_n and dropped ``n_max`` and ``truncation_error_bound``, which
+describe p_n; its other bytes did not move.
 A change that moves one output digit of these commands fails here; a
 change that means to move digits regenerates the file and says why.
 
