@@ -97,10 +97,15 @@ def _quadratures(lam: float, d: DetectorModel,
 
     The pre-detector quadrature has the thermal marginal of the idler,
     variance (1+lam) / (2(1-lam)); the detector mixes in its auxiliary
-    mode with weight sqrt(1-eta).
+    mode with weight sqrt(1-eta); an ideal detector (eta = 1) mixes in
+    nothing and draws no auxiliary normal.
     """
     x = math.sqrt((1.0 + lam) / (2.0 * (1.0 - lam))) * _sp.ndtri(u[:, 0])
     aux_sd = math.sqrt((1.0 - d.eta) * (1.0 + 2.0 * d.n_bar) / 2.0)
+    if aux_sd == 0.0:
+        # sqrt(1) x + 0 * ndtri(u) is x up to the sign of a zero, which
+        # no window can see; column 1 is not read
+        return x, x
     return x, math.sqrt(d.eta) * x + aux_sd * _sp.ndtri(u[:, 1])
 
 
@@ -123,11 +128,15 @@ def _sample_orders(x: np.ndarray, u: np.ndarray,
     Each shot carries a base-2 exponent, rescaled every _WALK_BLOCK steps,
     because the seed pi^(-1/4) e^(-x^2/2) / sqrt(M(x)) =
     (1-lam^2)^(1/4) exp(-lam x^2 / (1+lam)) underflows for lam near 1.
-    Finished shots are dropped in batches at those points, so the work is
-    O(sum n_i).  Cramer's inequality bounds the mass beyond order n by
-    _CRAMER_SQ lam^(n+1) / ((1-lam) M(x)); a shot whose cumulative sum,
-    through rounding, has not passed u when that bound falls below the
-    resolution of u stops there.  Returns (n, number of such stops).
+    The probabilities take it as the factor 2^(2e) of _pow4.  Finished
+    shots are dropped in batches at those points, so the work is
+    O(sum n_i); a batch goes by index, one ``flatnonzero`` of the shots
+    that walk on and one ``take`` per array, which numpy runs several
+    times faster than a boolean gather.  Cramer's inequality bounds the
+    mass beyond order n by _CRAMER_SQ lam^(n+1) / ((1-lam) M(x)); a shot
+    whose cumulative sum, through rounding, has not passed u when that
+    bound falls below the resolution of u stops there.  Returns
+    (n, number of such stops).
     """
     n = np.zeros(len(x), dtype=np.int64)
     if lam == 0.0 or len(x) == 0:
@@ -141,7 +150,7 @@ def _sample_orders(x: np.ndarray, u: np.ndarray,
     cur = np.exp2(t - e)                 # the scaled psi_n is cur * 2^e
     e = e.astype(np.int64)
     prev = np.zeros_like(cur)
-    scale = np.ldexp(1.0, 2 * e)         # 2^(2e), 0 while it underflows
+    scale = _pow4(e)
     total = cur * cur * scale
     count = (total <= u).astype(np.int64)
     xs = x * math.sqrt(2.0 * lam)
@@ -155,16 +164,18 @@ def _sample_orders(x: np.ndarray, u: np.ndarray,
         n_out = int(np.count_nonzero(out))
         stops = n_out - int(np.count_nonzero(done))
         # drop finished shots once they are an eighth of the active ones;
-        # a finished shot's count no longer moves, a stopped one's would
+        # a finished shot's count no longer moves, a stopped one's would.
+        # Every active count is written: those of shots that walk on are
+        # written again when they finish
         if stops or 8 * n_out >= len(idx):
             tail_stops += stops
-            n[idx[out]] = count[out]
-            keep = ~out
+            n[idx] = count
             if n_out == len(idx):
                 return n, tail_stops
+            keep = np.flatnonzero(~out)
             idx, xs, u, n_stop, e, scale, prev, cur, total, count = (
-                a[keep] for a in (idx, xs, u, n_stop, e, scale, prev, cur,
-                                  total, count))
+                a.take(keep) for a in (idx, xs, u, n_stop, e, scale, prev,
+                                       cur, total, count))
             new, sq, below = (np.empty_like(cur), np.empty_like(cur),
                               np.empty(len(cur), dtype=bool))
         for _ in range(_WALK_BLOCK):
@@ -183,7 +194,17 @@ def _sample_orders(x: np.ndarray, u: np.ndarray,
         np.ldexp(prev, -de, out=prev)
         np.ldexp(cur, -de, out=cur)
         e += de
-        scale = np.ldexp(1.0, 2 * e)
+        scale = _pow4(e)
+
+
+def _pow4(e: np.ndarray) -> np.ndarray:
+    """2^(2e) for int64 e, +0.0 where it underflows.
+
+    ``ldexp`` runs its fast loop only on int32 exponents.  2e is clipped
+    at -2000 before the cast, so that it cannot wrap: 2^-2000, like every
+    2^(2e) at or below 2^-1075, rounds to +0.0, so no value changes.
+    """
+    return np.ldexp(1.0, np.maximum(2 * e, -2000).astype(np.int32))
 
 
 def _histogram_statistics(hist: np.ndarray) -> tuple[float, float, float, float]:
@@ -237,8 +258,8 @@ def monte_carlo_experiment(s: Squeezing, w: AcceptanceWindow,
     for start in range(0, shots, _CHUNK_SHOTS):
         u = _shot_uniforms(seed, start, min(_CHUNK_SHOTS, shots - start))
         x, measured = _quadratures(s.lam, d, u)
-        accept = w.contains(measured)
-        n, stops = _sample_orders(x[accept], u[accept, 2], s.lam)
+        accept = np.flatnonzero(w.contains(measured))
+        n, stops = _sample_orders(x.take(accept), u[:, 2].take(accept), s.lam)
         counts = np.bincount(n, minlength=len(hist))
         counts[:len(hist)] += hist
         hist = counts

@@ -153,10 +153,12 @@ def husimi(p, r):
     r, scalar = _checked_radii(r)
     # numpy sums a single column pairwise, and two or more row by row
     wide = r if len(r) > 1 else np.repeat(r, 2)
-    with np.errstate(divide="ignore"):
+    # r^2 overflows to inf beyond r ~ 1.3e154, where every term is +0.0
+    with np.errstate(divide="ignore", over="ignore"):
         log_p = np.log(p)
+        rr = wide * wide
     log_r = np.log(np.where(wide > 0.0, wide, 1.0))
-    out = _husimi_sums(log_p, log_r, wide * wide)[:len(r)] / math.pi
+    out = _husimi_sums(log_p, log_r, rr)[:len(r)] / math.pi
     out[r == 0.0] = p[0] / math.pi
     return float(out[0]) if scalar else out
 

@@ -204,6 +204,14 @@ class TestSweep:
                                        qh.AcceptanceWindow.threshold(2.0))
         assert float(rows[0]["wigner_r1"]) == qh.wigner(stats.p, 1.0)
 
+    def test_husimi_at_an_overflowing_radius_warns_nothing(self):
+        proc = subprocess.run([sys.executable, "-m", "quadherald.cli", "sweep",
+                               "--lambda", "0.3", "--x0", "1", "--quantities", "husimi",
+                               "--radii", "1e200"], capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        _, _, rows = parse_csv(proc.stdout)
+        assert rows[0]["husimi_r0"] == "0.0"
+
     def test_csv_numbers_roundtrip(self, capsys):
         _, out, _ = run(capsys, "sweep", "--lambda", "0.1,0.37", "--x0",
                         "0.7,2.3")

@@ -17,13 +17,20 @@ fig4, fig5 and ``stats --pn`` print p_n, which come from numpy's FFT and
 ``exp``; their last bits follow the numpy build (numpy 2.0 replaced the
 FFT), so those three are compared only on numpy 2 or later.  The other
 outputs are closed forms of ``sqrt``, ``erfc``/``erfcx`` and C ``pow``.
+
+``montecarlo.json`` pins ``monte_carlo_experiment``'s draws at four
+points: the integer histogram of accepted orders, the accepted count and
+the diagnostics, as the sampler gave them before its walk dropped
+finished shots by index and took int32 exponents.
 """
 
+import json
 import pathlib
 
 import numpy as np
 import pytest
 
+from quadherald import AcceptanceWindow, DetectorModel, Squeezing, monte_carlo_experiment
 from quadherald.cli import main
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "golden"
@@ -58,3 +65,25 @@ def test_output_matches_golden_bytes(name, argv, tmp_path):
     out = tmp_path / name
     assert main(argv + ["--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+MONTE_CARLO = json.loads((GOLDEN / "montecarlo.json").read_text())
+
+
+@pytest.mark.parametrize("point", MONTE_CARLO,
+                         ids=[f"lam{p['lam']}" for p in MONTE_CARLO])
+def test_monte_carlo_draws_match_golden(point):
+    # every shot's draw pinned through the integer histogram of accepted
+    # orders; floats formed by dot products (mean, Q, standard errors)
+    # follow the BLAS build and are left out.  Points: an ideal detector
+    # at lam = 0.25, 0.994 and 0.999 (the last at 3000 shots), and
+    # eta = 0.8, n_bar = 0.5 at lam = 0.9 over two full chunks and a
+    # partial one
+    res = monte_carlo_experiment(
+        Squeezing(point["lam"]), AcceptanceWindow.threshold(point["x0"]),
+        DetectorModel(eta=point["eta"], n_bar=point["n_bar"]),
+        shots=point["shots"], seed=point["seed"])
+    hist = np.rint(res.empirical_p * res.accepted).astype(np.int64)
+    assert res.accepted == point["accepted"]
+    assert hist.tolist() == point["histogram"]
+    assert res.diagnostics == point["diagnostics"]

@@ -169,6 +169,25 @@ class TestFockSampler:
         assert abs(n.mean() - mean) <= 5.0 * math.sqrt(var / shots)
         assert n.var(ddof=1) == pytest.approx(var, rel=0.06)
 
+    def test_exponent_factor_is_exact(self):
+        # the int32 fast path with its clip gives the bits of int64 ldexp,
+        # through the subnormals and past the int32 range of 2e
+        e = np.concatenate([np.arange(-1100, 3), [-2 ** 31, -2 ** 40]])
+        assert np.array_equal(oracles._pow4(e), np.ldexp(1.0, 2 * e))
+        assert oracles._pow4(np.array([-537]))[0] == 2.0 ** -1074
+
+    @pytest.mark.parametrize("lam, orders", [
+        (0.5, [50, 57, 65, 81, 825]),
+        (0.99, [3873, 3873, 3873, 3096, 4673])])
+    def test_tail_bound_stops(self, lam, orders):
+        # u above every attainable cumulative sum: no shot finishes, each
+        # stops where Cramer's tail bound falls below the resolution of u,
+        # at its own order and in different compaction batches
+        n, stops = _sample_orders(np.array([0.0, 0.5, 3.0, -7.0, 40.0]),
+                                  np.full(5, 1.0 - 2.0 ** -53), lam)
+        assert n.tolist() == orders
+        assert stops == 4
+
 
 class TestMonteCarlo:
     def test_deterministic_replay(self):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -128,6 +129,13 @@ class TestHusimiAccuracy:
     def test_far_radii_give_zero(self):
         p = conditional(0.9, 2.0).p
         assert np.array_equal(qh.husimi(p, np.array([200.0, 1e5, 1e100])), np.zeros(3))
+
+    def test_radii_whose_square_overflows_give_zero_silently(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert qh.husimi([0.5, 0.5], 1e200) == 0.0
+            p = conditional(0.99, 3.0).p
+            assert np.array_equal(qh.husimi(p, np.array([1e200, 1e300])), np.zeros(2))
 
 
 class TestHusimiIndependentOfOtherRadii:
