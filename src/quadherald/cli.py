@@ -16,14 +16,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import NonConvergenceError, UndefinedQError
+from .errors import NonConvergenceError
 from .oracles import monte_carlo_experiment
 from .solvers import (efficiency_threshold, minimum_poissonian_threshold,
                       optimal_squeezing_for_mandel_q,
                       solve_threshold_for_mandel_q)
-from .stats import (AcceptanceWindow, DetectorModel, Squeezing, _check_domain, _mandel_q,
-                    _scalar_moments, acceptance_probability_imperfect, mandel_q,
-                    mean_photon_number, photon_distribution)
+from .stats import (AcceptanceWindow, DetectorModel, Squeezing, _check_domain,
+                    _closed_forms_at, photon_distribution)
 from .sweeps import (FigureJob, SweepSpec, _json_safe, _Table, build_figure, format_csv,
                      format_json, run_sweep, FIGURE_IDS)
 
@@ -65,19 +64,17 @@ def _detector(args) -> DetectorModel:
 
 
 def _cmd_stats(args) -> int:
-    """The closed forms at one point; with --pn also the distribution p_n,
-    its order N (n_max) and its tail bound, from the FFT that only p_n needs."""
-    if args.lam == 0.0:
-        raise UndefinedQError("Mandel Q is undefined at lambda = 0")
+    """The closed forms at one point (Q null at lam = 0); with --pn also p_n, its
+    order N (n_max) and its tail bound, from the FFT that only p_n needs."""
     _check_domain(tol=args.tol)
     s = Squeezing(args.lam)
     w = AcceptanceWindow.threshold(args.x0)
     d = _detector(args)
-    mean, second = _scalar_moments(s, w, d)
+    values = _closed_forms_at(s, w, d)
     record = {
         "lambda": args.lam, "x0": args.x0, "eta": args.eta, "nbar": args.nbar,
-        "tol": args.tol, "acceptance_probability": acceptance_probability_imperfect(s, w, d),
-        "mean_n": mean, "second_factorial": second, "mandel_q": _mandel_q(mean, second),
+        "tol": args.tol, "acceptance_probability": values["C"], "mean_n": values["mean"],
+        "second_factorial": values["second_factorial"], "mandel_q": values["Q"],
     }
     if args.pn:
         stats = photon_distribution(s, w, d, tol=args.tol)
@@ -121,22 +118,14 @@ def _cmd_montecarlo(args) -> int:
     w = AcceptanceWindow.threshold(args.x0)
     d = _detector(args)
     result = monte_carlo_experiment(s, w, d, shots=args.shots, seed=args.seed)
-    analytic_c = acceptance_probability_imperfect(s, w, d)
-    record = {
-        "lambda": args.lam, "x0": args.x0, "eta": args.eta, "nbar": args.nbar,
-        **result.to_dict(),
-        "analytic_C": analytic_c,
-    }
+    analytic = _closed_forms_at(s, w, d)
+    record = {"lambda": args.lam, "x0": args.x0, "eta": args.eta, "nbar": args.nbar,
+              **result.to_dict(), "analytic_C": analytic["C"]}
     if args.lam > 0.0:
-        record["analytic_mean"] = mean_photon_number(s, w, d)
-        record["analytic_Q"] = mandel_q(s, w, d)
-        se = result.standard_errors
+        record.update(analytic_mean=analytic["mean"], analytic_Q=analytic["Q"])
         record["z_scores"] = {
-            "C": _zscore(result.empirical_c, analytic_c, se["C"]),
-            "mean": _zscore(result.empirical_mean, record["analytic_mean"],
-                            se["mean"]),
-            "Q": _zscore(result.empirical_q, record["analytic_Q"], se["Q"]),
-        }
+            key: _zscore(getattr(result, "empirical_" + key.lower()), analytic[key],
+                         result.standard_errors[key]) for key in ("C", "mean", "Q")}
     _emit_record(record, args.format, args.out)
     return 0
 

@@ -23,8 +23,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .errors import NonConvergenceError
-from .stats import _EPS, DetectorModel, Squeezing, _check_domain, _mandel_q, _moments, \
-    _reduced_threshold, _where, mandel_q_slope_at_zero_squeezing
+from .stats import _EPS, DetectorModel, Squeezing, _check_domain, _log_g, _reduced_threshold
 
 __all__ = [
     "SolveReport",
@@ -55,6 +54,13 @@ class SolveReport:
 
     def to_dict(self) -> dict:
         return {**asdict(self), "bracket": list(self.bracket)}
+
+
+def _where(cond, x, y):
+    """``np.where``; for a scalar ``cond`` a plain choice, not a slow 0-d array."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, x, y)
+    return x if cond else y
 
 
 class _Roots(NamedTuple):
@@ -95,9 +101,11 @@ def _itp(f, a, b, fa, fb):
             shift = _where(shift < radius, _where(shift > 0.0, shift, 0.0),
                            _where(radius > 0.0, radius, 0.0))
             x = mid - np.sign(gap) * shift
-            # at a few ulps the step can round onto an end: bisect instead
-            x = _where((a < x) & (x < b), x, mid)
-            fx = f(x)
+            # a step within eps b of an end goes eps b inside (regula falsi lands on an
+            # end that is the root again and again); a done lane is evaluated at 0
+            tol = _EPS * b
+            x = np.fmin(np.fmax(x, a + tol), b - tol)      # nan too
+            fx = f(_where(active, x, 0.0))
             up, down = active & (fx >= 0.0), active & (fx <= 0.0)
             a, fa = _where(up, x, a), _where(up, fx, fa)
             b, fb = _where(down, x, b), _where(down, fx, fb)
@@ -125,10 +133,10 @@ def _threshold_roots(lam, q_target, eta, n_bar) -> _Roots:
         raise ValueError("the threshold solver needs every lam in (0, 1)")
     if not ((-1.0 <= q_target) & (q_target < math.inf)).all():
         raise ValueError("every q_target must be finite and >= -1")
-    moments = _moments(lam, eta, n_bar)
+    l2_l1 = _log_g(lam, eta, n_bar)
 
     def f(x0):
-        return _mandel_q(*moments(x0)) - q_target
+        return lam * l2_l1(x0) - q_target          # Q = lam L2 / L1
 
     a = 0.0 * lam
     fa = f(a)
@@ -171,9 +179,9 @@ def minimum_poissonian_threshold() -> SolveReport:
     root is unique there (verified by a sign scan), the lockstep ITP
     narrows the scan's bracket to two ulps, and it evaluates to 0.4248.
     """
-    slope = mandel_q_slope_at_zero_squeezing
+    slope = _log_g(0.0, 1.0, 0.0)          # L2 / L1 at lam = 0
     grid = np.linspace(0.0, 2.0, 81)
-    signs = np.sign([slope(x) for x in grid])
+    signs = np.sign(slope(grid))
     changes = np.nonzero(np.diff(signs) != 0)[0]
     if len(changes) != 1:
         raise NonConvergenceError(
@@ -202,9 +210,9 @@ def optimal_squeezing_for_mandel_q(q_target: float,
 
     C = erfc(y) falls as the reduced threshold y grows, so the lanes are
     ranked by y: its argmin is C's argmax, also where C underflows.  A
-    coarse scan over lam checks feasibility; nested grids of 33 points
-    around the best point then localize the maximum without assuming it is
-    unique, each grid one lockstep call.  A maximum sitting on the first
+    coarse scan over lam, spaced in log(1 - lam), checks feasibility; nested
+    grids of 33 points around the best point then localize the maximum
+    without assuming it is unique, each grid one lockstep call.  A maximum sitting on the first
     scan point is reported as a boundary supremum (the probability only
     grows as lam -> 0).  ``value`` is C in double precision.
     """
@@ -213,7 +221,10 @@ def optimal_squeezing_for_mandel_q(q_target: float,
     def reduced_threshold(lams: np.ndarray) -> np.ndarray:
         return _contour(lams, q_target, d.eta, d.n_bar)[1]
 
-    lams = np.linspace(_LAM_LO, _LAM_HI, _SCAN_POINTS)
+    # spaced in log(1 - lam), as fig3 and fig6 space their lanes, so a narrow
+    # feasible window near lam -> 1 is not stepped over
+    lams = 1.0 - np.geomspace(1.0 - _LAM_LO, 1.0 - _LAM_HI, _SCAN_POINTS)
+    lams[0] = _LAM_LO
     values = reduced_threshold(lams)
     evals = _SCAN_POINTS
     if not np.any(np.isfinite(values)):

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -81,9 +82,29 @@ class TestStats:
         assert float(rows[0]["mandel_q"]) == qh.mandel_q(
             qh.Squeezing(0.25), qh.AcceptanceWindow.threshold(2.0))
 
-    def test_undefined_q_exits_2(self, capsys):
-        code, _, err = run(capsys, "stats", "--lambda", "0", "--x0", "1")
-        assert code == 2 and "undefined" in err
+    @pytest.mark.parametrize("pn", [[], ["--pn"]], ids=["closed-forms", "pn"])
+    def test_undefined_q_is_null(self, capsys, pn):
+        # a vacuum signal: C, the mean (0) and p = [1] are defined, Q is not
+        code, out, _ = run(capsys, "stats", "--lambda", "0", "--x0", "1", *pn)
+        record = json.loads(out)
+        assert code == 0 and record["mandel_q"] is None
+        assert record["acceptance_probability"] == qh.acceptance_probability_imperfect(
+            qh.Squeezing(0.0), qh.AcceptanceWindow.threshold(1.0))
+        assert record["mean_n"] == record["second_factorial"] == 0.0
+        assert record.get("p", [1.0]) == [1.0]
+
+    def test_huge_threshold_without_warnings(self, capsys):
+        # <n(n-1)> ~ x0^4 overflows to null; Q is at its limit -2 a lam / v,
+        # which the form that cancelled terms of order x0^4 lost (null, after
+        # a RuntimeWarning on stderr)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "stats", "--lambda", "0.5", "--x0", "1e80")
+        record = json.loads(out)
+        assert code == 0 and err == ""
+        assert record["second_factorial"] is None
+        assert record["mean_n"] == pytest.approx(4.0 / 9.0 * 1e160, rel=1e-15)
+        assert record["mandel_q"] == pytest.approx(-2.0 / 3.0, rel=1e-15)
 
     def test_nonconvergence_exits_3(self, capsys):
         code, _, err = run(capsys, "stats", "--pn", "--lambda", "0.99999", "--x0", "1")

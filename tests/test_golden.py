@@ -9,14 +9,20 @@ reduced threshold that the moments read; that moved only C cells, each
 within the mpmath bound of ``test_matches_mpmath_within_erfc_condition``.
 ``stats.json`` was regenerated when ``stats`` without ``--pn`` stopped
 computing p_n and dropped ``n_max`` and ``truncation_error_bound``, which
-describe p_n; its other bytes did not move.
+describe p_n; its other bytes did not move.  ``stats.json``,
+``stats_pn.json``, ``sweep.csv``, ``sweep.json``, ``fig2.csv``,
+``fig3.csv`` and ``fig6.json`` were regenerated when the moments came to
+be derived from log G: mean, second factorial moment and Q cells, and the
+contour roots with the C at them, moved; C cells off the contours, the
+p_n and every header did not.
 A change that moves one output digit of these commands fails here; a
 change that means to move digits regenerates the file and says why.
 
 fig4, fig5 and ``stats --pn`` print p_n, which come from numpy's FFT and
 ``exp``; their last bits follow the numpy build (numpy 2.0 replaced the
 FFT), so those three are compared only on numpy 2 or later.  The other
-outputs are closed forms of ``sqrt``, ``erfc``/``erfcx`` and C ``pow``.
+outputs are closed forms of ``sqrt``, ``erfc``/``erfcx`` and the four
+basic operations.
 
 ``montecarlo.json`` pins ``monte_carlo_experiment``'s draws at four
 points: the integer histogram of accepted orders, the accepted count and

@@ -73,11 +73,13 @@ class TestThresholdForQ:
                                          (0.9999, 0.0), (0.99, -0.99)])
     def test_strong_squeezing_roots_beyond_x0_256(self, lam, q):
         # each was reported infeasible while the bracket was capped at x0 = 256;
-        # the last, at y = 173, lies past the last doubling (2048, y = 145)
+        # the last, at y = 173, lies past the last doubling (2048, y = 145).
+        # Measured within 5.5e-15 relative; Q formed as (<n(n-1)> - <n>^2) / <n>
+        # left them up to 3.8e-8 off
         rep = qh.solve_threshold_for_mandel_q(qh.Squeezing(lam), q)
         assert rep.feasible and rep.solution > 256.0
         exact = ref.threshold_for_q(lam, q)
-        assert abs(rep.solution - exact) <= 1e-7 * exact
+        assert abs(rep.solution - exact) <= 1e-12 * exact
 
     def test_just_above_half_is_feasible(self):
         rep = qh.solve_threshold_for_mandel_q(qh.Squeezing(0.05), 0.0,
@@ -126,13 +128,17 @@ class TestLockstepSolver:
     def test_a_lane_that_cannot_converge_raises(self, monkeypatch):
         # Q is right at the bracket ends (0 and 4) and nan inside: a nan
         # leaves the bracket as it is, so the loop must end and say so
-        exact, calls = solvers._mandel_q, []
+        exact, calls = solvers._log_g, []
 
-        def nan_inside(mean, second):
-            calls.append(None)
-            return exact(mean, second) * (1.0 if len(calls) <= 2 else np.nan)
+        def nan_inside(lam, eta, n_bar):
+            l2_l1 = exact(lam, eta, n_bar)
 
-        monkeypatch.setattr(solvers, "_mandel_q", nan_inside)
+            def nan_l2_l1(x0):
+                calls.append(None)
+                return l2_l1(x0) * (1.0 if len(calls) <= 2 else np.nan)
+            return nan_l2_l1
+
+        monkeypatch.setattr(solvers, "_log_g", nan_inside)
         with pytest.raises(qh.NonConvergenceError):
             solvers._threshold_roots(np.array([0.2, 0.3]), -0.1, 1.0, 0.0)
 
@@ -244,6 +250,13 @@ class TestOptimalSqueezing:
         log10_c = math.log10(erfcx(y_at)) - y_at * y_at / math.log(10.0)
         assert log10_c == pytest.approx(
             float(ref.log10_acceptance(rep.solution, roots.x0)), rel=1e-12)
+
+    def test_narrow_window_near_lam_one_is_scanned(self):
+        # the feasible lams of q = -0.99 lie in a window narrower than the
+        # 0.02 steps of a scan linear in lam, which reported it infeasible
+        rep = qh.optimal_squeezing_for_mandel_q(-0.99)
+        assert rep.feasible and not rep.boundary
+        assert rep.solution == pytest.approx(0.99005, abs=1e-5)
 
     def test_infeasible_below_efficiency_threshold(self):
         rep = qh.optimal_squeezing_for_mandel_q(0.0, qh.DetectorModel(eta=0.45))

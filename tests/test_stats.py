@@ -15,6 +15,7 @@ from quadherald import stats as stats_module
 from quadherald.sweeps import SweepSpec
 
 IDEAL = qh.DetectorModel.ideal()
+_EPS = float(np.finfo(float).eps)
 
 
 def thr(x0):
@@ -520,6 +521,78 @@ class TestMoments:
         # erfcx keeps the moment ratio stable far beyond erfc underflow
         q = qh.mandel_q(qh.Squeezing(0.2), thr(40.0))
         assert math.isfinite(q) and -1.0 <= q < 0.0
+
+
+# ---------------------------------------------------------------------------
+# Q from the t-derivatives of log G
+# ---------------------------------------------------------------------------
+
+def strong_squeezing_points(n, seed):
+    """Seeded (lam, x0, eta, n_bar): 1 - lam log-uniform in [1e-4, 1], the
+    reduced threshold y log-uniform in [0.01, 256], eta in {1, 0.8, 0.3,
+    0.05} and n_bar in {0, 0.3, 2}."""
+    rng = np.random.default_rng(seed)
+    lam = 1.0 - 10.0 ** rng.uniform(-4.0, 0.0, n)
+    y = 10.0 ** rng.uniform(-2.0, math.log10(256.0), n)
+    eta = rng.choice([1.0, 0.8, 0.3, 0.05], n)
+    nbar = rng.choice([0.0, 0.3, 2.0], n)
+    x0 = [float(ref.threshold_at(*point)) for point in zip(lam, y, eta, nbar)]
+    return list(zip(lam.tolist(), x0, eta.tolist(), nbar.tolist()))
+
+
+class TestLogGMoments:
+    """Q = lam L2 / L1, with nothing of order y^4 subtracted, against the reference."""
+
+    def test_q_against_reference_up_to_y_256(self):
+        # measured on these 240 points: 9.2e-14 relative at worst; the form
+        # that cancelled terms of order y^4 was 1.5e-7 off on such a grid
+        points = strong_squeezing_points(240, 7)
+        lam, x0, eta, nbar = (np.array(v) for v in zip(*points))
+        q = stats_module._closed_forms(lam, x0, eta, nbar)["Q"]
+        exact = np.array([float(ref.moments(*point).Q) for point in points])
+        assert np.all(np.abs(exact) > 1e-3)
+        assert np.all(np.abs(q - exact) <= 5e-13 * np.abs(exact))
+
+    @pytest.mark.parametrize("eta", [1.0, 0.8])
+    @pytest.mark.parametrize("lam", [0.2, 0.9, 0.99, 0.999, 0.9999])
+    def test_q_near_zero_against_reference(self, lam, eta):
+        # at the root of Q = 0 the relative error means nothing; measured
+        # |Q - Q_ref| <= 2.7e-14 over these ten points, the most at y = 4.2,
+        # where S = R (y + R) - 1/2 from erfcx has lost 11 bits
+        d = qh.DetectorModel(eta=eta)
+        x0 = qh.solve_threshold_for_mandel_q(qh.Squeezing(lam), 0.0, d).solution
+        exact = float(ref.moments(lam, x0, eta).Q)
+        assert abs(exact) < 1e-3
+        assert abs(qh.mandel_q(qh.Squeezing(lam), thr(x0), d) - exact) <= 1e-13
+
+    @pytest.mark.parametrize("eta, nbar", [(1.0, 0.0), (0.7, 0.5)])
+    def test_q_tends_to_its_limit_at_huge_thresholds(self, eta, nbar):
+        # Q -> -2 a lam / v as y -> inf, a = 2 eta' - 1, v = 1 + a lam.  At
+        # x0 = 1e8 the reference still resolves Q, 5.8e-16 relative from the
+        # limit; at 1e20 it cannot, and Q is the limit to within 1 / y^2
+        s, d = 1.0 + 2.0 * nbar * (1.0 - eta), qh.DetectorModel(eta=eta, n_bar=nbar)
+        a = 2.0 * eta / s - 1.0
+        limit = -2.0 * a * 0.5 / (1.0 + a * 0.5)
+        q8 = qh.mandel_q(qh.Squeezing(0.5), thr(1e8), d)
+        assert q8 == pytest.approx(float(ref.moments(0.5, 1e8, eta, nbar).Q), rel=4e-15)
+        assert qh.mandel_q(qh.Squeezing(0.5), thr(1e20), d) == pytest.approx(limit, rel=2e-16)
+
+    def test_mills_terms_against_mpmath(self):
+        # Z, R and S on both sides of _Y_LAPLACE; the differences below it lose
+        # bits to cancellation (measured here: R 87 eps, S 6100 eps, at y = 6),
+        # the fraction above it none beyond its start (R 8 eps, S 570 eps)
+        y = np.concatenate([np.linspace(0.0, 12.0, 241), np.geomspace(12.0, 1e8, 60)])
+        z, r, s = stats_module._mills(y)
+        with mp.workdps(60):        # S keeps 4 log10(y) digits fewer than Z
+            exact = []
+            for v in y.tolist():
+                zv = mp.sqrt(mp.pi) * mp.erfc(v) * mp.exp(mp.mpf(v) ** 2)
+                rv = 1 / zv - v
+                exact.append((float(zv), float(rv), float(rv * (v + rv) - mp.mpf(1) / 2)))
+        z_ref, r_ref, s_ref = (np.array(v) for v in zip(*exact))
+        assert np.all(np.abs(z - z_ref) <= 8.0 * _EPS * z_ref)
+        assert np.all(np.abs(r - r_ref) <= 128.0 * _EPS * r_ref)
+        assert np.all(np.abs(s - s_ref) <= 8192.0 * _EPS * np.abs(s_ref))
 
 
 # ---------------------------------------------------------------------------
