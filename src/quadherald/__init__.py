@@ -11,7 +11,7 @@ simulation that checks them independently.
 
 __version__ = "0.1.0"
 
-from .errors import NonConvergenceError, UndefinedQError
+from .errors import NonConvergenceError
 from .stats import (AcceptanceWindow, ConditionalStatistics, DetectorModel,
                     Squeezing, acceptance_probability_imperfect,
                     fock_acceptance_probabilities_imperfect,
@@ -27,7 +27,7 @@ from .solvers import (SolveReport, efficiency_threshold,
 
 __all__ = [
     "__version__",
-    "NonConvergenceError", "UndefinedQError",
+    "NonConvergenceError",
     "Squeezing", "AcceptanceWindow", "DetectorModel", "ConditionalStatistics",
     "acceptance_probability_imperfect",
     "fock_acceptance_probabilities_imperfect",

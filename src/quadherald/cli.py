@@ -120,12 +120,11 @@ def _cmd_montecarlo(args) -> int:
     result = monte_carlo_experiment(s, w, d, shots=args.shots, seed=args.seed)
     analytic = _closed_forms_at(s, w, d)
     record = {"lambda": args.lam, "x0": args.x0, "eta": args.eta, "nbar": args.nbar,
-              **result.to_dict(), "analytic_C": analytic["C"]}
-    if args.lam > 0.0:
-        record.update(analytic_mean=analytic["mean"], analytic_Q=analytic["Q"])
-        record["z_scores"] = {
-            key: _zscore(getattr(result, "empirical_" + key.lower()), analytic[key],
-                         result.standard_errors[key]) for key in ("C", "mean", "Q")}
+              **result.to_dict(), "analytic_C": analytic["C"],
+              "analytic_mean": analytic["mean"], "analytic_Q": analytic["Q"],
+              "z_scores": {key: _zscore(getattr(result, "empirical_" + key.lower()),
+                                        analytic[key], result.standard_errors[key])
+                           for key in ("C", "mean", "Q")}}
     _emit_record(record, args.format, args.out)
     return 0
 

@@ -3,7 +3,3 @@
 
 class NonConvergenceError(RuntimeError):
     """A numerical procedure failed to reach its accuracy or size target."""
-
-
-class UndefinedQError(ValueError):
-    """Mandel Q is requested for a state with zero mean photon number."""

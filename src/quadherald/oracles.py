@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special as _sp
 
-from .stats import AcceptanceWindow, DetectorModel, Squeezing
+from .stats import AcceptanceWindow, DetectorModel, Squeezing, _is_integer
 
 __all__ = [
     "MonteCarloResult",
@@ -233,7 +233,7 @@ def _histogram_statistics(hist: np.ndarray) -> tuple[float, float, float, float]
 
 
 def monte_carlo_experiment(s: Squeezing, w: AcceptanceWindow,
-                           d: DetectorModel | None = None,
+                           d: DetectorModel = DetectorModel(),
                            shots: int = 1_000_000,
                            seed: int = 0) -> MonteCarloResult:
     """Simulate the heralding experiment shot by shot.
@@ -247,11 +247,10 @@ def monte_carlo_experiment(s: Squeezing, w: AcceptanceWindow,
     integer histogram of accepted n, so the result is bit-identical for
     any chunking and identical (seed, shots, parameters) reproduce it.
     """
-    if not isinstance(shots, (int, np.integer)) or shots < 1:
+    if not _is_integer(shots) or shots < 1:
         raise ValueError(f"shots must be a positive integer, got {shots!r}")
-    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2 ** 128:
+    if not _is_integer(seed) or not 0 <= seed < 2 ** 128:
         raise ValueError(f"seed must be an integer in [0, 2^128), got {seed!r}")
-    d = d or DetectorModel.ideal()
 
     hist = np.zeros(1, dtype=np.int64)
     chunks, tail_stops = 0, 0

@@ -160,12 +160,11 @@ def _threshold_roots(lam, q_target, eta, n_bar) -> _Roots:
 
 
 def solve_threshold_for_mandel_q(s: Squeezing, q_target: float,
-                                 d: DetectorModel | None = None) -> SolveReport:
+                                 d: DetectorModel = DetectorModel()) -> SolveReport:
     """Threshold x0 with Mandel Q(lam, x0) = q_target, or an infeasible report.
 
     A one-lane call of the lockstep root-finder (see ``_threshold_roots``).
     """
-    d = d or DetectorModel.ideal()
     r = _threshold_roots(s.lam, q_target, d.eta, d.n_bar)
     return SolveReport(solution=float(r.x0), residual=float(r.residual),
                        iterations=int(r.iterations), bracket=(0.0, float(r.x_hi)),
@@ -205,7 +204,7 @@ def _contour(lam, q_target, eta, n_bar) -> tuple[_Roots, np.ndarray]:
 
 
 def optimal_squeezing_for_mandel_q(q_target: float,
-                                   d: DetectorModel | None = None) -> SolveReport:
+                                   d: DetectorModel = DetectorModel()) -> SolveReport:
     """Squeezing that maximizes the heralding probability at fixed Mandel Q.
 
     C = erfc(y) falls as the reduced threshold y grows, so the lanes are
@@ -216,7 +215,6 @@ def optimal_squeezing_for_mandel_q(q_target: float,
     scan point is reported as a boundary supremum (the probability only
     grows as lam -> 0).  ``value`` is C in double precision.
     """
-    d = d or DetectorModel.ideal()
 
     def reduced_threshold(lams: np.ndarray) -> np.ndarray:
         return _contour(lams, q_target, d.eta, d.n_bar)[1]

@@ -61,7 +61,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special as _sp
 
-from .errors import NonConvergenceError, UndefinedQError
+from .errors import NonConvergenceError
 
 __all__ = [
     "Squeezing",
@@ -78,7 +78,6 @@ __all__ = [
 ]
 
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
-_UNDEFINED_Q = "Mandel Q is undefined at lam = 0 (vacuum signal, zero mean)"
 _EPS = float(np.finfo(float).eps)
 
 #: Hard cap on the truncation order of the photon-number distribution.
@@ -100,20 +99,25 @@ def _check_domain(grid: bool = False, **values) -> None:
     """Raise ValueError unless each value lies in its parameter's domain.
 
     A value is a number, or with ``grid`` any sequence or array of numbers;
-    nan, +-inf, strings and other non-numbers are refused.
+    nan, +-inf, booleans, strings and other non-numbers are refused.
     """
     for name, value in values.items():
         rule, inside = _DOMAINS[name]
-        if isinstance(value, (int, float)):        # a number, np.float64 too: no array
-            bad = [] if inside(float(value)) else [value]
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            bad = [] if inside(float(value)) else [value]    # np.float64 too: no array
         else:
             v = np.asarray(value)
             bad = [value]
-            if v.dtype.kind in "biuf" and (grid or v.ndim == 0):
+            if v.dtype.kind in "iuf" and (grid or v.ndim == 0):
                 with np.errstate(over="ignore"):   # 2 n_bar may overflow to inf
                     bad = v[~inside(v.astype(float))].tolist()
         if bad:
             raise ValueError(f"{name} must {rule}, got {bad[0]!r}")
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer; a bool is not a number."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -272,13 +276,12 @@ def _acceptance(lam, x0, eta, n_bar):
 
 
 def acceptance_probability_imperfect(s: Squeezing, w: AcceptanceWindow,
-                                     d: DetectorModel | None = None) -> float:
+                                     d: DetectorModel = DetectorModel()) -> float:
     """Heralding probability C = P(|x| > x0), for every detector.
 
     The measured idler quadrature is a zero-mean Gaussian; for an ideal
     detector its variance is (1 + lam) / (2 (1 - lam)).
     """
-    d = d or DetectorModel.ideal()
     return float(_acceptance(s.lam, w.require_threshold(), d.eta, d.n_bar))
 
 
@@ -305,7 +308,7 @@ def _heralding_coefficients(n_max: int, x0: float, d: DetectorModel,
 
 
 def fock_acceptance_probabilities_imperfect(
-        n_max: int, x0: float, d: DetectorModel | None = None) -> np.ndarray:
+        n_max: int, x0: float, d: DetectorModel = DetectorModel()) -> np.ndarray:
     """q_0..q_{n_max}: acceptance probability of each Fock component.
 
     Valid for every detector: the Taylor coefficients of C(t) / (1 - t)
@@ -313,12 +316,11 @@ def fock_acceptance_probabilities_imperfect(
     docstring), accurate to a few 1e-15 absolute at n_max ~ 10^4.
     Exactly one at x0 = 0.
     """
-    if not isinstance(n_max, (int, np.integer)) or n_max < 0:
+    if not _is_integer(n_max) or n_max < 0:
         raise ValueError(f"n_max must be a nonnegative integer, got {n_max!r}")
     _check_domain(x0=x0)
     if x0 == 0.0:                               # the FFT gives 1 - 3e-16
         return np.ones(n_max + 1)
-    d = d or DetectorModel.ideal()
     m = 1 << (9 * n_max + 8).bit_length()      # least power of two >= 9 (N + 1)
     radius = math.exp(-36.0 / m)
     q = _heralding_coefficients(n_max, x0, d, radius, m)
@@ -411,35 +413,33 @@ def _closed_forms(lam, x0, eta, n_bar) -> dict:
             "second_factorial": second, "Q": np.where(lam == 0.0, np.nan, q)}
 
 
-def _closed_forms_at(s: Squeezing, w: AcceptanceWindow, d: DetectorModel | None) -> dict:
+def _closed_forms_at(s: Squeezing, w: AcceptanceWindow, d: DetectorModel) -> dict:
     """:func:`_closed_forms` at one point, as floats."""
-    d = d or DetectorModel.ideal()
     values = _closed_forms(s.lam, w.require_threshold(), d.eta, d.n_bar)
     return {name: float(value) for name, value in values.items()}
 
 
 def mean_photon_number(s: Squeezing, w: AcceptanceWindow,
-                       d: DetectorModel | None = None) -> float:
+                       d: DetectorModel = DetectorModel()) -> float:
     """Closed-form mean photon number of the heralded state."""
     return _closed_forms_at(s, w, d)["mean"]
 
 
 def second_factorial_moment(s: Squeezing, w: AcceptanceWindow,
-                            d: DetectorModel | None = None) -> float:
+                            d: DetectorModel = DetectorModel()) -> float:
     """Closed-form second factorial moment <n(n-1)> of the heralded state."""
     return _closed_forms_at(s, w, d)["second_factorial"]
 
 
 def mandel_q(s: Squeezing, w: AcceptanceWindow,
-             d: DetectorModel | None = None) -> float:
-    """Mandel Q = (<n(n-1)> - <n>^2) / <n>; negative means sub-Poissonian."""
-    if s.lam == 0.0:
-        raise UndefinedQError(_UNDEFINED_Q)
+             d: DetectorModel = DetectorModel()) -> float:
+    """Mandel Q = (<n(n-1)> - <n>^2) / <n>; negative means sub-Poissonian, nan at
+    lam = 0 (a vacuum signal, whose mean is zero)."""
     return _closed_forms_at(s, w, d)["Q"]
 
 
 def photon_distribution(s: Squeezing, w: AcceptanceWindow,
-                        d: DetectorModel | None = None,
+                        d: DetectorModel = DetectorModel(),
                         tol: float = 1e-12) -> ConditionalStatistics:
     """Truncated photon-number distribution of the heralded state.
 
@@ -454,7 +454,6 @@ def photon_distribution(s: Squeezing, w: AcceptanceWindow,
         p_n < -8 eps or |1 - sum(p)| exceeds the tail bound + 8 eps (N + 1).
     """
     _check_domain(tol=tol)
-    d = d or DetectorModel.ideal()
     x0 = w.require_threshold()
     lam = s.lam
     closed = _closed_forms_at(s, w, d)
@@ -491,7 +490,7 @@ def photon_distribution(s: Squeezing, w: AcceptanceWindow,
 
 
 def mandel_q_slope_at_zero_squeezing(x0: float,
-                                     d: DetectorModel | None = None) -> float:
+                                     d: DetectorModel = DetectorModel()) -> float:
     """dQ/dlam at lam -> 0 for fixed threshold: L2 / L1 of :func:`_log_g` at lam = 0.
 
     Q vanishes linearly in lam; the sign of this slope decides whether a
@@ -500,5 +499,4 @@ def mandel_q_slope_at_zero_squeezing(x0: float,
     for Poissonian statistics.
     """
     _check_domain(x0=x0)
-    d = d or DetectorModel.ideal()
     return float(_log_g(0.0, d.eta, d.n_bar)(x0))

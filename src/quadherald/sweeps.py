@@ -23,11 +23,11 @@ import numpy as np
 from scipy.special import erfc
 
 from . import __version__
-from .errors import NonConvergenceError, UndefinedQError
+from .errors import NonConvergenceError
 from .phase_space import _checked_radii, husimi, wigner
 from .solvers import _contour
-from .stats import (_UNDEFINED_Q, AcceptanceWindow, DetectorModel, Squeezing,
-                    _check_domain, _closed_forms, photon_distribution)
+from .stats import (AcceptanceWindow, DetectorModel, Squeezing, _check_domain,
+                    _closed_forms, _is_integer, photon_distribution)
 
 __all__ = ["SweepSpec", "FigureJob", "run_sweep", "build_figure",
            "format_csv", "format_json", "FIGURE_IDS"]
@@ -36,10 +36,13 @@ VALID_QUANTITIES = ("C", "mean", "second_factorial", "Q", "p_n", "husimi", "wign
 
 
 def _numbers(name: str, values) -> tuple[float, ...]:
-    """A spec list as floats; a scalar, a string or a nested list is a usage error."""
+    """A spec list as floats; a scalar, a string, a nested list or a boolean is a
+    usage error."""
     if not isinstance(values, str):         # "12" would read as [1.0, 2.0]
         try:
-            return tuple(float(v) for v in values)
+            values = tuple(values)
+            if not any(isinstance(v, (bool, np.bool_)) for v in values):
+                return tuple(map(float, values))
         except TypeError:
             pass
     raise ValueError(f"{name} must be a list of numbers, got {values!r}")
@@ -76,7 +79,7 @@ class SweepSpec:
         if len(set(self.quantities)) < len(self.quantities):   # duplicate columns
             raise ValueError(f"quantities repeat a name: {list(self.quantities)}")
         _check_domain(tol=self.tol)
-        if not isinstance(self.pn_max, (int, np.integer)) or self.pn_max < 0:
+        if not _is_integer(self.pn_max) or self.pn_max < 0:
             raise ValueError(f"pn_max must be a nonnegative integer, got {self.pn_max!r}")
         object.__setattr__(self, "radii", _numbers("radii", self.radii))
         _checked_radii(self.radii)
@@ -128,9 +131,7 @@ def _grid_columns(axes: dict, **values) -> dict:
             **{name: np.broadcast_to(v, shape).ravel() for name, v in values.items()}}
 
 
-def _emptied(values: np.ndarray, empty: np.ndarray):
-    """``values``, or its cells with ``""`` where ``empty`` holds, if it does anywhere."""
-    return np.where(empty, "", values.astype(object)).tolist() if empty.any() else values
+_UNDEFINED_Q = "Mandel Q is undefined at lam = 0 (vacuum signal, zero mean)"
 
 
 def run_sweep(spec: SweepSpec) -> tuple[dict, list[str], _Table]:
@@ -148,18 +149,17 @@ def run_sweep(spec: SweepSpec) -> tuple[dict, list[str], _Table]:
     grid = _grid_columns(axes, **_closed_forms(*np.ix_(*axes.values())))
     n = len(grid["C"])
     undefined = np.isnan(grid["Q"]) & ("Q" in spec.quantities)
-    grid["Q"] = _emptied(grid["Q"], undefined)
     errors = {i: [_UNDEFINED_Q] for i in np.flatnonzero(undefined).tolist()}   # row: texts
     widths = {"p_n": spec.pn_max + 1, "husimi": len(spec.radii), "wigner": len(spec.radii)}
     per_point = {qty: np.zeros((n, widths[qty])) for qty in spec.quantities if qty in widths}
-    failed = np.zeros(n, dtype=bool)
     points = itertools.product(*axes.values()) if per_point else ()
     for i, (lam, x0, eta, nbar) in enumerate(points):
         try:
             stats = photon_distribution(Squeezing(lam), AcceptanceWindow.threshold(x0),
                                         DetectorModel(eta=eta, n_bar=nbar), tol=spec.tol)
         except NonConvergenceError as exc:
-            failed[i] = True
+            for values in per_point.values():
+                values[i] = np.nan
             errors.setdefault(i, []).append(str(exc))
         else:
             for qty, values in per_point.items():
@@ -171,8 +171,7 @@ def run_sweep(spec: SweepSpec) -> tuple[dict, list[str], _Table]:
     for qty in spec.quantities:
         if qty in per_point:
             head = "p_" if qty == "p_n" else f"{qty}_r"
-            columns.update((f"{head}{k}", _emptied(v, failed))
-                           for k, v in enumerate(per_point[qty].T))
+            columns.update((f"{head}{k}", v) for k, v in enumerate(per_point[qty].T))
         else:
             columns[qty] = grid[qty]
     codes = np.zeros(n, dtype=np.intp)
@@ -194,16 +193,14 @@ def _contour_columns(q, eta, lam, **_) -> dict:
     columns = _grid_columns({"q_target": q, "eta": eta, "lam": lam})
     q, eta, lam = (g.ravel() for g in np.meshgrid(q, eta, lam, indexing="ij"))
     roots, y = _contour(lam, q, eta, 0.0)
-    return {**columns, "x0_required": _emptied(roots.x0, ~roots.feasible),
-            "acceptance_probability": _emptied(erfc(y), ~roots.feasible),
+    return {**columns, "x0_required": np.where(roots.feasible, roots.x0, np.nan),
+            "acceptance_probability": np.where(roots.feasible, erfc(y), np.nan),
             "feasible": roots.feasible}
 
 
 def _fig2_columns(lam, x0) -> dict:
     _check_domain(grid=True, lam=lam, x0=x0)
     values = _closed_forms(*np.ix_(lam, x0), 1.0, 0.0)
-    if np.isnan(values["Q"]).any():
-        raise UndefinedQError(_UNDEFINED_Q)
     return _grid_columns({"lam": lam, "x0": x0}, mean_n=values["mean"], Q=values["Q"])
 
 
@@ -338,33 +335,34 @@ def _json_safe(value):
 
 
 def _cell(value) -> str:
-    """One CSV field: floats as repr, lists and dicts as JSON, None empty.
+    """One CSV field of a value other than a finite float: lists and dicts as
+    JSON, None empty.
 
     A field holding ``,``, ``"`` or a newline is quoted as in RFC 4180.
     """
-    if isinstance(value, float):  # includes numpy scalars
-        return repr(float(value))  # shortest digits that round-trip exactly
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if value is None:
         return ""
-    text = (json.dumps(_json_safe(value)) if isinstance(value, (list, dict))
-            else str(value))
+    text = json.dumps(value) if isinstance(value, (list, dict)) else str(value)
     if "," in text or '"' in text or "\n" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 
 
 def _cells(column, encode) -> list[str]:
-    """Each cell's text: a finite float's ``repr`` (both formats), else ``encode``."""
+    """Each cell's text: a finite float's ``repr`` (both formats), else ``encode`` of
+    the value with its non-finite floats as None: ``null`` in JSON, empty in CSV."""
+    if isinstance(column, np.ndarray) and column.dtype == bool:    # two texts, coded
+        column = _Coded([False, True], column.view(np.uint8))
     if isinstance(column, _Coded):
         return np.array(_cells(column.values, encode), dtype=object)[column.codes].tolist()
     if isinstance(column, np.ndarray):
         if column.dtype == float and np.isfinite(column).all():
             return list(map(repr, column.tolist()))       # Python floats
         column = column.tolist()
-    return [float.__repr__(v) if isinstance(v, float) and math.isfinite(v) else encode(v)
-            for v in column]
+    return [float.__repr__(v) if isinstance(v, float) and math.isfinite(v)
+            else encode(_json_safe(v)) for v in column]
 
 
 def format_csv(meta: dict, columns: list[str], table: _Table) -> str:

@@ -182,6 +182,18 @@ class TestSweep:
         assert rows[0]["Q"] == "" and "undefined" in rows[0]["error"]
         assert rows[1]["Q"] != "" and rows[1]["error"] == ""
 
+    def test_only_failed_points_are_empty(self, capsys):
+        # lam = 0.9999 needs more orders than the cap; at lam = 0.05 the p_n
+        # past the point's own N are 0.0, not missing
+        code, out, _ = run(capsys, "sweep", "--lambda", "0.05,0.9999", "--x0", "1",
+                           "--quantities", "p_n,wigner", "--pn-max", "40", "--radii", "0,1")
+        assert code == 0
+        _, columns, (done, failed) = parse_csv(out)
+        cells = [col for col in columns if col.startswith(("p_", "wigner_"))]
+        assert all(failed[col] == "" for col in cells) and "cap" in failed["error"]
+        assert all(done[col] != "" for col in cells) and done["error"] == ""
+        assert done["p_40"] == "0.0"
+
     def test_row_order_is_lexicographic(self, capsys):
         code, out, _ = run(capsys, "sweep", "--lambda", "0.1,0.2",
                            "--x0", "0,1", "--quantities", "C")
@@ -270,6 +282,9 @@ class TestSweep:
         {"lam": [0.25]},
         [0.25, 1.0],
         3,
+        {"lam": [0.3], "x0": [True], "eta": [True], "pn_max": True, "quantities": ["p_n"]},
+        {"lam": [0.3], "x0": [1.0], "eta": [True]},
+        {"lam": [0.3], "x0": [1.0], "pn_max": True, "quantities": ["p_n"]},
     ])
     def test_malformed_spec_file_exits_2(self, spec, tmp_path, capsys):
         path = tmp_path / "spec.json"
@@ -352,6 +367,14 @@ class TestFigure:
         assert len(payload["rows"]) == len(rows)
         assert payload["rows"][0]["p_n"] == float(rows[0]["p_n"])
 
+    def test_fig2_at_zero_squeezing_leaves_q_empty(self, tmp_path):
+        # Q is 0/0 for a vacuum signal; its mean, 0, is written
+        out = tmp_path / "fig2.csv"
+        assert main(["figure", "fig2", "--lambda", "0,0.1", "--out", str(out)]) == 0
+        _, _, rows = parse_csv(out.read_text())
+        assert all((row["Q"] == "") == (row["lam"] == "0.0") for row in rows)
+        assert {row["mean_n"] for row in rows if row["lam"] == "0.0"} == {"0.0"}
+
     def test_unknown_figure_exits_2(self, capsys):
         assert run(capsys, "figure", "fig99")[0] == 2
 
@@ -393,6 +416,9 @@ def test_flag_the_command_does_not_use_exits_2(argv, tmp_path, capsys):
      "--pn-max", "8", "--radii", "0,1.5"],
     # no threshold reaches Q = -0.9: empty cells and false
     ["figure", "fig3", "--q=-0.9,-0.1", "--lambda", "0.1,0.5"],
+    # <n(n-1)> overflows at x0 = 1e80: empty and null
+    ["sweep", "--lambda", "0,0.5", "--x0", "1,1e80"],
+    ["stats", "--lambda", "0.5", "--x0", "1e80"],
 ])
 def test_csv_cells_match_json(argv, tmp_path):
     csv_path, json_path = tmp_path / "out.csv", tmp_path / "out.json"
@@ -428,20 +454,40 @@ def test_table_length_is_the_row_count():
         assert all(len(table.columns[col]) == rows for col in columns)
 
 
+def strict(name):
+    """``parse_constant`` of a JSON parser that refuses NaN and Infinity."""
+    raise ValueError(f"non-JSON constant {name}")
+
+
 def test_csv_json_cells_have_no_nonfinite_literals(capsys):
     # NaN standard errors (no accepted shot has n > 0 at lam = 0) are null, as in JSON
     code, out, _ = run(capsys, "montecarlo", "--lambda", "0", "--x0", "1",
                        "--shots", "2000", "--format", "csv")
     assert code == 0
     _, _, rows = parse_csv(out)
-
-    def strict(name):
-        raise ValueError(f"non-JSON constant {name}")
-
     cell = json.loads(rows[0]["standard_errors"], parse_constant=strict)
     record = json.loads(run(capsys, "montecarlo", "--lambda", "0", "--x0", "1",
                             "--shots", "2000")[1])
     assert None in cell.values() and cell == record["standard_errors"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--lambda", "0,0.5", "--x0", "1,1e80"],    # Q is 0/0, <n(n-1)> overflows
+    ["figure", "fig6"],                                    # contour lanes out of reach
+    ["montecarlo", "--lambda", "0", "--x0", "1", "--shots", "2000"],
+    ["solve", "optimal-lambda", "--q", "-0.9999"],         # infeasible: no solution
+    ["stats", "--lambda", "0.5", "--x0", "1e80"],
+], ids=["sweep", "fig6", "montecarlo", "optimal-lambda", "stats"])
+def test_a_missing_number_is_null_in_json_and_empty_in_csv(argv, tmp_path):
+    json_path, csv_path = tmp_path / "out.json", tmp_path / "out.csv"
+    assert main(argv + ["--format", "json", "--out", str(json_path)]) == 0
+    assert main(argv + ["--format", "csv", "--out", str(csv_path)]) == 0
+    payload = json.loads(json_path.read_text(), parse_constant=strict)
+    values = [value for record in payload.get("rows", [payload])
+              for key, value in record.items() if key != "error"]
+    assert None in values and "" not in values
+    _, _, rows = parse_csv(csv_path.read_text())
+    assert not {cell for row in rows for cell in row.values()} & {"nan", "inf", "-inf"}
 
 
 def test_cli_import_leaves_integrate_and_optimize_unloaded():
@@ -486,6 +532,14 @@ class TestMonteCarloCommand:
             qh.DetectorModel(eta=0.8))
         for key in ("C", "mean", "Q"):
             assert abs(record["z_scores"][key]) < 5.0
+
+    def test_zero_squeezing_writes_every_key(self, capsys):
+        argv = ["montecarlo", "--x0", "1", "--shots", "2000"]
+        vacuum = json.loads(run(capsys, *argv, "--lambda", "0")[1])
+        squeezed = json.loads(run(capsys, *argv, "--lambda", "0.3")[1])
+        assert list(vacuum) == list(squeezed)
+        assert vacuum["analytic_mean"] == 0.0 and vacuum["analytic_Q"] is None
+        assert list(vacuum["z_scores"]) == list(squeezed["z_scores"])
 
     def test_bad_shots_exits_2(self, capsys):
         assert run(capsys, "montecarlo", "--lambda", "0.2", "--x0", "1",

@@ -14,7 +14,11 @@ describe p_n; its other bytes did not move.  ``stats.json``,
 ``fig3.csv`` and ``fig6.json`` were regenerated when the moments came to
 be derived from log G: mean, second factorial moment and Q cells, and the
 contour roots with the C at them, moved; C cells off the contours, the
-p_n and every header did not.
+p_n and every header did not.  ``sweep.json`` and ``fig6.json`` were
+regenerated when a number that is missing (Q at lam = 0, a contour that no
+threshold reaches) came to be written as ``null`` rather than ``""``: its
+12 Q cells and 21 ``x0_required`` and 21 ``acceptance_probability`` cells
+changed, no other line; the CSV files already left such cells empty.
 A change that moves one output digit of these commands fails here; a
 change that means to move digits regenerates the file and says why.
 
@@ -49,7 +53,8 @@ COMMANDS = [
     pytest.param("stats_pn.json", ["stats", "--pn", "--lambda", "0.3", "--x0", "1.5",
                                    "--eta", "0.8", "--nbar", "0.2"],
                  id="stats-pn", marks=FFT_DEPENDENT),
-    # lam = 0 gives the undefined-Q error text; x0 = 0 and 40, eta < 1, nbar > 0
+    # lam = 0 gives an empty Q and the undefined-Q error text; x0 = 0 and 40,
+    # eta < 1, nbar > 0
     pytest.param("sweep.csv", ["sweep", "--lambda", "0,0.3,0.9", "--x0", "0,1.5,40",
                                "--eta", "0.7,1", "--nbar", "0,0.5",
                                "--quantities", "C,mean,second_factorial,Q"], id="sweep"),
@@ -58,7 +63,7 @@ COMMANDS = [
                                 "--quantities", "C,mean,second_factorial,Q",
                                 "--format", "json"], id="sweep-json"),
     pytest.param("fig2.csv", ["figure", "fig2"], id="fig2"),
-    # infeasible contour lanes give empty cells and false
+    # infeasible contour lanes give empty cells (null in fig6.json) and false
     pytest.param("fig3.csv", ["figure", "fig3"], id="fig3"),
     pytest.param("fig4.csv", ["figure", "fig4"], id="fig4", marks=FFT_DEPENDENT),
     pytest.param("fig5.csv", ["figure", "fig5"], id="fig5", marks=FFT_DEPENDENT),

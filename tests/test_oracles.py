@@ -254,6 +254,9 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):   # beyond the Philox key space
             qh.monte_carlo_experiment(qh.Squeezing(0.2), thr(1.0),
                                       shots=10, seed=2 ** 128)
+        for counts in ({"shots": True}, {"shots": 10, "seed": False}):   # not integers
+            with pytest.raises(ValueError):
+                qh.monte_carlo_experiment(qh.Squeezing(0.2), thr(1.0), **counts)
 
     def test_zero_threshold_gives_geometric_distribution(self):
         # accepting every shot must return the n-first definition's

@@ -15,7 +15,7 @@ README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 PUBLIC_NAMES = [
     "AcceptanceWindow", "ConditionalStatistics", "DetectorModel",
     "MonteCarloResult", "NonConvergenceError", "SolveReport", "Squeezing",
-    "UndefinedQError", "__version__", "acceptance_probability_imperfect",
+    "__version__", "acceptance_probability_imperfect",
     "efficiency_threshold", "fock_acceptance_probabilities_imperfect",
     "husimi", "mandel_q", "mandel_q_slope_at_zero_squeezing",
     "mean_photon_number", "minimum_poissonian_threshold",

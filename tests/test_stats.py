@@ -117,6 +117,21 @@ class TestTypes:
                 with pytest.raises(ValueError, match=f"^{name} must"):
                     entry(value)
 
+    @pytest.mark.parametrize("make", [
+        lambda: qh.Squeezing(False),
+        lambda: qh.AcceptanceWindow.threshold(True),
+        lambda: qh.DetectorModel(eta=True),
+        lambda: qh.DetectorModel(eta=np.True_),
+        lambda: stats_module._check_domain(grid=True, x0=np.array([True, False])),
+        lambda: qh.fock_acceptance_probabilities_imperfect(True, 1.0),
+        lambda: SweepSpec(lam=[0.3], x0=[True]),
+        lambda: SweepSpec(lam=[0.3], x0=[1.0], quantities=["p_n"], pn_max=True),
+    ], ids=["lam", "x0", "eta", "eta-0d-array", "grid", "n_max", "sweep-grid", "pn_max"])
+    def test_booleans_are_not_numbers(self, make):
+        # a bool is an int to Python, but True is no threshold, efficiency or order
+        with pytest.raises(ValueError):
+            make()
+
     def test_detector_validation(self):
         # at n_bar = 1e308, 2 n_bar overflows and s is nan
         for eta, nbar in ((0.0, 0.0), (1.2, 0.0), (0.5, -1.0), (1.0, 1e308),
@@ -501,8 +516,10 @@ class TestMoments:
             assert qh.mandel_q(s, thr(x0)) == pytest.approx(target, abs=2e-3)
 
     def test_mandel_q_undefined_at_zero_squeezing(self):
-        with pytest.raises(qh.UndefinedQError):
-            qh.mandel_q(qh.Squeezing(0.0), thr(1.0))
+        # a vacuum signal has zero mean: Q is nan, as in photon_distribution
+        s, w = qh.Squeezing(0.0), thr(1.0)
+        assert math.isnan(qh.mandel_q(s, w))
+        assert math.isnan(qh.photon_distribution(s, w).mandel_q)
 
     @given(st.floats(0.01, 0.9), st.floats(0.0, 8.0), st.floats(0.05, 1.0),
            st.floats(0.0, 2.0))
@@ -718,12 +735,8 @@ NBARS = st.floats(0.0, 2.0)
 def scalar_closed_forms(lam, x0, eta, nbar):
     """C, mean, second factorial moment and Q from the public scalar functions."""
     s, w, d = qh.Squeezing(lam), thr(x0), qh.DetectorModel(eta=eta, n_bar=nbar)
-    try:
-        q = qh.mandel_q(s, w, d)
-    except qh.UndefinedQError:
-        q = math.nan
     return (qh.acceptance_probability_imperfect(s, w, d), qh.mean_photon_number(s, w, d),
-            qh.second_factorial_moment(s, w, d), q)
+            qh.second_factorial_moment(s, w, d), qh.mandel_q(s, w, d))
 
 
 class TestBroadcastClosedForms:
