@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special as _sp
 
-from .stats import AcceptanceWindow, DetectorModel, Squeezing, _is_integer
+from .stats import AcceptanceWindow, DetectorModel, Squeezing, _check_domain
 
 __all__ = [
     "MonteCarloResult",
@@ -247,10 +247,7 @@ def monte_carlo_experiment(s: Squeezing, w: AcceptanceWindow,
     integer histogram of accepted n, so the result is bit-identical for
     any chunking and identical (seed, shots, parameters) reproduce it.
     """
-    if not _is_integer(shots) or shots < 1:
-        raise ValueError(f"shots must be a positive integer, got {shots!r}")
-    if not _is_integer(seed) or not 0 <= seed < 2 ** 128:
-        raise ValueError(f"seed must be an integer in [0, 2^128), got {seed!r}")
+    _check_domain(shots=shots, seed=seed)
 
     hist = np.zeros(1, dtype=np.int64)
     chunks, tail_stops = 0, 0

@@ -90,6 +90,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .special import _NEGLIGIBLE_BITS, _exp_neg_scaled
+from .stats import _check_domain
 
 __all__ = ["husimi", "wigner"]
 
@@ -120,11 +121,10 @@ _ABSORBING = 2.0 ** -900
 
 
 def _checked_distribution(p) -> np.ndarray:
+    _check_domain(grid=True, p=p)
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or len(p) == 0:
         raise ValueError("p must be a nonempty 1-D probability sequence")
-    if np.any(p < 0.0) or not np.all(np.isfinite(p)):
-        raise ValueError("p must be finite and nonnegative")
     if abs(p.sum() - 1.0) > _NORMALIZATION_TOL:
         raise ValueError(f"p must be normalized within {_NORMALIZATION_TOL}, "
                          f"got sum(p) = {p.sum()!r}")
@@ -132,11 +132,8 @@ def _checked_distribution(p) -> np.ndarray:
 
 
 def _checked_radii(r) -> tuple[np.ndarray, bool]:
-    scalar = np.isscalar(r)
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(r < 0.0) or not np.all(np.isfinite(r)):
-        raise ValueError("radii must be finite and nonnegative")
-    return r, scalar
+    _check_domain(grid=True, r=r)
+    return np.atleast_1d(np.asarray(r, dtype=float)), np.isscalar(r)
 
 
 def husimi(p, r):

@@ -131,8 +131,6 @@ def _threshold_roots(lam, q_target, eta, n_bar) -> _Roots:
         *(np.asarray(v, dtype=float) for v in (lam, q_target, eta, n_bar))))
     if not ((0.0 < lam) & (lam < 1.0)).all():
         raise ValueError("the threshold solver needs every lam in (0, 1)")
-    if not ((-1.0 <= q_target) & (q_target < math.inf)).all():
-        raise ValueError("every q_target must be finite and >= -1")
     l2_l1 = _log_g(lam, eta, n_bar)
 
     def f(x0):
@@ -161,14 +159,16 @@ def _threshold_roots(lam, q_target, eta, n_bar) -> _Roots:
 
 def solve_threshold_for_mandel_q(s: Squeezing, q_target: float,
                                  d: DetectorModel = DetectorModel()) -> SolveReport:
-    """Threshold x0 with Mandel Q(lam, x0) = q_target, or an infeasible report.
+    """Threshold x0 with Mandel Q(lam, x0) = q_target, or an infeasible report
+    whose solution is nan.
 
     A one-lane call of the lockstep root-finder (see ``_threshold_roots``).
     """
+    _check_domain(q=q_target)
     r = _threshold_roots(s.lam, q_target, d.eta, d.n_bar)
-    return SolveReport(solution=float(r.x0), residual=float(r.residual),
-                       iterations=int(r.iterations), bracket=(0.0, float(r.x_hi)),
-                       feasible=bool(r.feasible))
+    return SolveReport(solution=float(r.x0) if r.feasible else math.nan,
+                       residual=float(r.residual), iterations=int(r.iterations),
+                       bracket=(0.0, float(r.x_hi)), feasible=bool(r.feasible))
 
 
 def minimum_poissonian_threshold() -> SolveReport:
@@ -215,6 +215,7 @@ def optimal_squeezing_for_mandel_q(q_target: float,
     scan point is reported as a boundary supremum (the probability only
     grows as lam -> 0).  ``value`` is C in double precision.
     """
+    _check_domain(q=q_target)
 
     def reduced_threshold(lams: np.ndarray) -> np.ndarray:
         return _contour(lams, q_target, d.eta, d.n_bar)[1]

@@ -18,6 +18,10 @@ of q_n over the window and the other checks that only the test suite
 runs live in ``tests/_oracles.py``, and an extended-precision reference
 derived from the generating function in ``tests/_reference.py``.
 
+``_DOMAINS`` owns the rule for every number the package takes, read by
+``_check_domain``: a value outside it, a bool, a string or nan raises
+``ValueError("<name> must <rule>, got <value>")``.
+
 Numerical notes
 ---------------
 * All acceptance probabilities are computed with ``erfc`` rather than
@@ -83,41 +87,49 @@ _EPS = float(np.finfo(float).eps)
 #: Hard cap on the truncation order of the photon-number distribution.
 DEFAULT_N_CAP = 100_000
 
-#: Each parameter's domain, once: its text and its test on a float or a float array.
+#: The types a number of each kind may take (never a bool); the first converts it.
+_REAL, _COUNT = (float, int), (int, np.integer)
+_FINITE = ("be nonnegative and finite", lambda v: (0.0 <= v) & (v < math.inf), _REAL)
+_ORDER = ("be a nonnegative integer", lambda v: v >= 0, _COUNT)
+
+#: Each input's domain, once: its text, its test on a float or float array (on an
+#: int for a count, so that no large seed rounds) and its kind.
 _DOMAINS = {
-    "lam": ("lie in [0, 1)", lambda v: (0.0 <= v) & (v < 1.0)),
-    "x0": ("be nonnegative and finite", lambda v: (0.0 <= v) & (v < math.inf)),
-    "eta": ("lie in (0, 1]", lambda v: (0.0 < v) & (v <= 1.0)),
+    "lam": ("lie in [0, 1)", lambda v: (0.0 <= v) & (v < 1.0), _REAL),
+    "eta": ("lie in (0, 1]", lambda v: (0.0 < v) & (v <= 1.0), _REAL),
     # 2 n_bar finite keeps s, and so erfc's argument, finite
     "n_bar": ("be nonnegative with 2 n_bar finite",
-              lambda v: (0.0 <= v) & (2.0 * v < math.inf)),
-    "tol": ("lie in (0, 1e-3]", lambda v: (0.0 < v) & (v <= 1e-3)),
+              lambda v: (0.0 <= v) & (2.0 * v < math.inf), _REAL),
+    "tol": ("lie in (0, 1e-3]", lambda v: (0.0 < v) & (v <= 1e-3), _REAL),
+    "q": ("be finite and >= -1", lambda v: (-1.0 <= v) & (v < math.inf), _REAL),
+    "x0": _FINITE, "r": _FINITE, "radii": _FINITE, "p": _FINITE,     # p: each p_n
+    "intervals": ("have numbers or +-inf as ends", lambda v: ~np.isnan(v), _REAL),
+    "n_max": _ORDER, "pn_max": _ORDER,
+    "shots": ("be a positive integer", lambda v: v >= 1, _COUNT),
+    "seed": ("be an integer in [0, 2^128)", lambda v: 0 <= v < 2 ** 128, _COUNT),
 }
 
 
 def _check_domain(grid: bool = False, **values) -> None:
-    """Raise ValueError unless each value lies in its parameter's domain.
+    """Raise ValueError unless each value lies in its input's domain.
 
-    A value is a number, or with ``grid`` any sequence or array of numbers;
-    nan, +-inf, booleans, strings and other non-numbers are refused.
+    A value is a number, or with ``grid`` any sequence or array of real
+    numbers; nan, +-inf, booleans, strings and other non-numbers are refused.
     """
     for name, value in values.items():
-        rule, inside = _DOMAINS[name]
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            bad = [] if inside(float(value)) else [value]    # np.float64 too: no array
+        rule, inside, kind = _DOMAINS[name]
+        if isinstance(value, kind) and not isinstance(value, bool):
+            bad = [] if inside(kind[0](value)) else [value]    # np.float64 too: no array
         else:
             v = np.asarray(value)
             bad = [value]
-            if v.dtype.kind in "iuf" and (grid or v.ndim == 0):
+            if kind is _REAL and v.dtype.kind in "iuf" and (grid or v.ndim == 0):
                 with np.errstate(over="ignore"):   # 2 n_bar may overflow to inf
                     bad = v[~inside(v.astype(float))].tolist()
+                if isinstance(value, (list, tuple)):      # [True, 2.0] reads as floats
+                    bad += [x for x in value if isinstance(x, (bool, np.bool_))]
         if bad:
             raise ValueError(f"{name} must {rule}, got {bad[0]!r}")
-
-
-def _is_integer(value) -> bool:
-    """Whether ``value`` is an int or a numpy integer; a bool is not a number."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -132,8 +144,7 @@ class Squeezing:
     @classmethod
     def from_r(cls, r: float) -> "Squeezing":
         """Build from the squeezing constant r >= 0."""
-        if not (np.isfinite(r) and r >= 0.0):
-            raise ValueError(f"r must be nonnegative and finite, got {r!r}")
+        _check_domain(r=r)
         return cls(math.tanh(r) ** 2)
 
     @property
@@ -160,10 +171,12 @@ class AcceptanceWindow:
         if self.x0 is not None:
             _check_domain(x0=self.x0)
         else:
-            iv = tuple(tuple(map(float, pair)) for pair in self.general_intervals)
+            iv = tuple(map(tuple, self.general_intervals))
+            _check_domain(grid=True, intervals=[end for pair in iv for end in pair])
+            iv = tuple(tuple(map(float, pair)) for pair in iv)
             prev_hi = -math.inf
             for lo, hi in iv:
-                if math.isnan(lo) or math.isnan(hi) or not lo < hi:
+                if not lo < hi:
                     raise ValueError(f"bad interval ({lo}, {hi})")
                 if lo < prev_hi:
                     raise ValueError("intervals must be disjoint and sorted")
@@ -316,9 +329,7 @@ def fock_acceptance_probabilities_imperfect(
     docstring), accurate to a few 1e-15 absolute at n_max ~ 10^4.
     Exactly one at x0 = 0.
     """
-    if not _is_integer(n_max) or n_max < 0:
-        raise ValueError(f"n_max must be a nonnegative integer, got {n_max!r}")
-    _check_domain(x0=x0)
+    _check_domain(n_max=n_max, x0=x0)
     if x0 == 0.0:                               # the FFT gives 1 - 3e-16
         return np.ones(n_max + 1)
     m = 1 << (9 * n_max + 8).bit_length()      # least power of two >= 9 (N + 1)

@@ -24,10 +24,10 @@ from scipy.special import erfc
 
 from . import __version__
 from .errors import NonConvergenceError
-from .phase_space import _checked_radii, husimi, wigner
+from .phase_space import husimi, wigner
 from .solvers import _contour
 from .stats import (AcceptanceWindow, DetectorModel, Squeezing, _check_domain,
-                    _closed_forms, _is_integer, photon_distribution)
+                    _closed_forms, photon_distribution)
 
 __all__ = ["SweepSpec", "FigureJob", "run_sweep", "build_figure",
            "format_csv", "format_json", "FIGURE_IDS"]
@@ -78,11 +78,9 @@ class SweepSpec:
                              f"valid: {VALID_QUANTITIES}")
         if len(set(self.quantities)) < len(self.quantities):   # duplicate columns
             raise ValueError(f"quantities repeat a name: {list(self.quantities)}")
-        _check_domain(tol=self.tol)
-        if not _is_integer(self.pn_max) or self.pn_max < 0:
-            raise ValueError(f"pn_max must be a nonnegative integer, got {self.pn_max!r}")
+        _check_domain(tol=self.tol, pn_max=self.pn_max)
         object.__setattr__(self, "radii", _numbers("radii", self.radii))
-        _checked_radii(self.radii)
+        _check_domain(grid=True, radii=self.radii)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
@@ -131,9 +129,6 @@ def _grid_columns(axes: dict, **values) -> dict:
             **{name: np.broadcast_to(v, shape).ravel() for name, v in values.items()}}
 
 
-_UNDEFINED_Q = "Mandel Q is undefined at lam = 0 (vacuum signal, zero mean)"
-
-
 def run_sweep(spec: SweepSpec) -> tuple[dict, list[str], _Table]:
     """Evaluate the sweep; returns (meta, column names, table)."""
     meta = {"generator": f"quadherald {__version__}", "kind": "sweep",
@@ -148,8 +143,7 @@ def run_sweep(spec: SweepSpec) -> tuple[dict, list[str], _Table]:
     axes = {"lam": spec.lam, "x0": spec.x0, "eta": spec.eta, "nbar": spec.nbar}
     grid = _grid_columns(axes, **_closed_forms(*np.ix_(*axes.values())))
     n = len(grid["C"])
-    undefined = np.isnan(grid["Q"]) & ("Q" in spec.quantities)
-    errors = {i: [_UNDEFINED_Q] for i in np.flatnonzero(undefined).tolist()}   # row: texts
+    errors = {}                                 # row: the text of its error
     widths = {"p_n": spec.pn_max + 1, "husimi": len(spec.radii), "wigner": len(spec.radii)}
     per_point = {qty: np.zeros((n, widths[qty])) for qty in spec.quantities if qty in widths}
     points = itertools.product(*axes.values()) if per_point else ()
@@ -160,7 +154,7 @@ def run_sweep(spec: SweepSpec) -> tuple[dict, list[str], _Table]:
         except NonConvergenceError as exc:
             for values in per_point.values():
                 values[i] = np.nan
-            errors.setdefault(i, []).append(str(exc))
+            errors[i] = str(exc)
         else:
             for qty, values in per_point.items():
                 row = (stats.p[:spec.pn_max + 1] if qty == "p_n"
@@ -176,7 +170,7 @@ def run_sweep(spec: SweepSpec) -> tuple[dict, list[str], _Table]:
             columns[qty] = grid[qty]
     codes = np.zeros(n, dtype=np.intp)
     codes[list(errors)] = np.arange(1, len(errors) + 1)
-    columns["error"] = _Coded(["", *map("; ".join, errors.values())], codes)
+    columns["error"] = _Coded(["", *errors.values()], codes)
     return meta, list(columns), _Table(columns)
 
 
@@ -189,7 +183,7 @@ _CONTOUR_LAMS = 1.0 - np.logspace(math.log10(1.0 - 0.001), math.log10(1.0 - 0.95
 
 
 def _contour_columns(q, eta, lam, **_) -> dict:
-    _check_domain(grid=True, eta=eta)
+    _check_domain(grid=True, q=q, eta=eta)
     columns = _grid_columns({"q_target": q, "eta": eta, "lam": lam})
     q, eta, lam = (g.ravel() for g in np.meshgrid(q, eta, lam, indexing="ij"))
     roots, y = _contour(lam, q, eta, 0.0)

@@ -19,6 +19,9 @@ regenerated when a number that is missing (Q at lam = 0, a contour that no
 threshold reaches) came to be written as ``null`` rather than ``""``: its
 12 Q cells and 21 ``x0_required`` and 21 ``acceptance_probability`` cells
 changed, no other line; the CSV files already left such cells empty.
+``sweep.csv`` and ``sweep.json`` were regenerated when the ``error`` column
+came to hold only the text of an error raised for a point: the 12 ``error``
+cells of the lam = 0 rows, which named the undefined Q, became empty.
 A change that moves one output digit of these commands fails here; a
 change that means to move digits regenerates the file and says why.
 
@@ -53,7 +56,7 @@ COMMANDS = [
     pytest.param("stats_pn.json", ["stats", "--pn", "--lambda", "0.3", "--x0", "1.5",
                                    "--eta", "0.8", "--nbar", "0.2"],
                  id="stats-pn", marks=FFT_DEPENDENT),
-    # lam = 0 gives an empty Q and the undefined-Q error text; x0 = 0 and 40,
+    # lam = 0 gives an empty Q and an empty error cell; x0 = 0 and 40,
     # eta < 1, nbar > 0
     pytest.param("sweep.csv", ["sweep", "--lambda", "0,0.3,0.9", "--x0", "0,1.5,40",
                                "--eta", "0.7,1", "--nbar", "0,0.5",

@@ -66,7 +66,8 @@ class TestThresholdForQ:
         # y = x0 sqrt((1 - lam) / (1 + (2 eta - 1) lam)) is 256
         x_cap = 256.0 / math.sqrt(0.8 / 0.98)
         assert rep.bracket[0] == 0.0
-        assert rep.solution == rep.bracket[1] == pytest.approx(x_cap, rel=1e-15)
+        assert math.isnan(rep.solution)
+        assert rep.bracket[1] == pytest.approx(x_cap, rel=1e-15)
         assert rep.iterations == 7 and rep.residual > 0.0
 
     @pytest.mark.parametrize("lam, q", [(0.99, -0.9), (0.999, -0.05), (0.999, -0.5),
@@ -119,8 +120,10 @@ class TestLockstepSolver:
         roots = solvers._threshold_roots(*lane)
         rep = qh.solve_threshold_for_mandel_q(qh.Squeezing(lam), q,
                                               qh.DetectorModel(eta=eta, n_bar=nbar))
-        assert (rep.solution, rep.residual, rep.iterations, rep.bracket, rep.feasible) == (
-            roots.x0, roots.residual, roots.iterations, (0.0, roots.x_hi), roots.feasible)
+        assert (rep.residual, rep.iterations, rep.bracket, rep.feasible) == (
+            roots.residual, roots.iterations, (0.0, roots.x_hi), roots.feasible)
+        # an infeasible lane's x0 is 0 or its cap, which solves nothing
+        assert (rep.solution == roots.x0) if rep.feasible else math.isnan(rep.solution)
         if rep.feasible and rep.solution > 0.0:
             s, d = qh.Squeezing(lam), qh.DetectorModel(eta=eta, n_bar=nbar)
             assert rep.residual == qh.mandel_q(s, thr(rep.solution), d) - q

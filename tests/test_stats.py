@@ -12,7 +12,7 @@ import quadherald as qh
 from _oracles import (fock_acceptance_binomial_mixture, fock_acceptance_recurrence,
                       heralded_distribution_mp)
 from quadherald import stats as stats_module
-from quadherald.sweeps import SweepSpec
+from quadherald.sweeps import FigureJob, SweepSpec, build_figure
 
 IDEAL = qh.DetectorModel.ideal()
 _EPS = float(np.finfo(float).eps)
@@ -20,6 +20,12 @@ _EPS = float(np.finfo(float).eps)
 
 def thr(x0):
     return qh.AcceptanceWindow.threshold(x0)
+
+
+def spec_grid(name):
+    """value -> a sweep spec with ``value`` added to the grid ``name``."""
+    grids = {"lam": [0.5], "x0": [1.0], "eta": [1.0], "nbar": [0.0], "radii": [0.0]}
+    return lambda value: SweepSpec(**{**grids, name: grids[name] + [value]})
 
 
 def assert_reduction_exact(lam, x0, eta, nbar):
@@ -76,46 +82,61 @@ class TestTypes:
         with pytest.raises(ValueError):
             qh.AcceptanceWindow.from_intervals([(2.0, 1.0)])
 
-    # parameter: (its scalar entry points, values inside, values outside)
+    # parameter: (entry points by what they take, values inside, values outside).
+    # "one" takes one number and refuses an array of the inside values too, "any"
+    # takes it alone or in a sequence, and "list" puts it in a list of a sweep spec
+    # or figure job; all but "list", which reads a numeric string, refuse "0.5".
     DOMAINS = {
-        "lam": ([qh.Squeezing], [0.0, 0.999], [-1e-300, 1.0, math.nan, math.inf]),
-        "x0": ([qh.AcceptanceWindow.threshold, qh.mandel_q_slope_at_zero_squeezing,
-                lambda v: qh.fock_acceptance_probabilities_imperfect(1, v)],
+        "lam": ({"one": [qh.Squeezing], "list": [spec_grid("lam")]},
+                [0.0, 0.999], [-1e-300, 1.0, math.nan, math.inf]),
+        "x0": ({"one": [qh.AcceptanceWindow.threshold, qh.mandel_q_slope_at_zero_squeezing,
+                        lambda v: qh.fock_acceptance_probabilities_imperfect(1, v)],
+                "list": [spec_grid("x0")]},
                [0.0, 40.0], [-1e-300, math.nan, math.inf, -math.inf]),
-        "eta": ([lambda v: qh.DetectorModel(eta=v)], [1e-300, 1.0],
-                [0.0, 1.0 + 2.0 ** -52, math.nan, -math.inf]),
-        "n_bar": ([lambda v: qh.DetectorModel(n_bar=v), qh.efficiency_threshold],
+        "eta": ({"one": [lambda v: qh.DetectorModel(eta=v)], "list": [spec_grid("eta")]},
+                [1e-300, 1.0], [0.0, 1.0 + 2.0 ** -52, math.nan, -math.inf]),
+        "n_bar": ({"one": [lambda v: qh.DetectorModel(n_bar=v), qh.efficiency_threshold],
+                   "list": [spec_grid("nbar")]},
                   [0.0, 8.9e307], [-1e-300, 1e308, math.nan, math.inf]),
-        "tol": ([lambda v: qh.photon_distribution(qh.Squeezing(0.2), thr(1.0), tol=v)],
+        "tol": ({"one": [lambda v: qh.photon_distribution(qh.Squeezing(0.2), thr(1.0), tol=v),
+                         lambda v: SweepSpec(lam=[0.5], x0=[1.0], tol=v)]},
                 [1e-300, 1e-3], [0.0, 1e-3 + 2.0 ** -62, math.nan, math.inf]),
+        "q": ({"one": [lambda v: qh.solve_threshold_for_mandel_q(qh.Squeezing(0.3), v),
+                       qh.optimal_squeezing_for_mandel_q],
+               "list": [lambda v: build_figure(FigureJob("fig3", {"q": [v]}))]},
+              [-1.0, 0.5], [-1.0 - 2.0 ** -52, math.nan, math.inf]),
+        "r": ({"one": [qh.Squeezing.from_r],
+               "any": [lambda v: qh.husimi([1.0], v), lambda v: qh.wigner([1.0], [v])]},
+              [0.0, 3.0], [-1e-300, math.nan, math.inf]),
+        "radii": ({"list": [spec_grid("radii")]}, [0.0, 3.0], [-1e-300, math.nan, math.inf]),
+        "p": ({"any": [lambda v: qh.husimi([1.0, v], 0.0), lambda v: qh.wigner([v, 1.0], 0.0)]},
+              [0.0, 1e-7], [-1e-300, math.nan, math.inf]),
+        "intervals": ({"any": [lambda v: qh.AcceptanceWindow.from_intervals([(-math.inf, v)])]},
+                      [0.0, math.inf], [math.nan]),
+        "n_max": ({"one": [lambda v: qh.fock_acceptance_probabilities_imperfect(v, 1.0)]},
+                  [0, 3], [-1, 1.0]),
+        "pn_max": ({"one": [lambda v: SweepSpec(lam=[0.5], x0=[1.0], pn_max=v)]},
+                   [0, 12], [-1, 2.0]),
+        "shots": ({"one": [lambda v: qh.monte_carlo_experiment(qh.Squeezing(0.2), thr(0.0),
+                                                               shots=v)]},
+                  [1], [0, 1.0]),
+        "seed": ({"one": [lambda v: qh.monte_carlo_experiment(qh.Squeezing(0.2), thr(0.0),
+                                                              shots=1, seed=v)]},
+                 [0, 2 ** 128 - 1], [2 ** 128, -1, 1.0]),
     }
 
-    @staticmethod
-    def sweep_spec(name, value):
-        """A sweep spec with ``value`` added to the grid ``name``, or as its tol."""
-        grids = {"lam": [0.5], "x0": [1.0], "eta": [1.0], "nbar": [0.0]}
-        if name == "tol":
-            return SweepSpec(**grids, tol=value)
-        key = "nbar" if name == "n_bar" else name
-        return SweepSpec(**{**grids, key: grids[key] + [value]})
-
+    @pytest.mark.filterwarnings("ignore:only 1 shots accepted")
     @pytest.mark.parametrize("name", DOMAINS)
     def test_domain_rule_is_one_rule_for_scalars_and_grids(self, name):
         entries, inside, outside = self.DOMAINS[name]
-        for value in inside:
-            self.sweep_spec(name, value)
-            for entry in entries:
-                entry(value)
-        # a sweep spec reads a string grid value as a number; its tol refuses one
-        refused = [(value, True) for value in outside] + [("0.5", name == "tol"),
-                                                          (np.array(inside), False)]
-        for value, in_sweep in refused:
-            if in_sweep:
-                with pytest.raises(ValueError, match=f"^{name} must"):
-                    self.sweep_spec(name, value)
-            for entry in entries:
-                with pytest.raises(ValueError, match=f"^{name} must"):
+        refused = {"one": ["0.5", np.array(inside)], "any": ["0.5"], "list": []}
+        for takes, functions in entries.items():
+            for entry in functions:
+                for value in inside:
                     entry(value)
+                for value in outside + refused[takes]:
+                    with pytest.raises(ValueError, match=f"^{name} must"):
+                        entry(value)
 
     @pytest.mark.parametrize("make", [
         lambda: qh.Squeezing(False),
@@ -126,11 +147,24 @@ class TestTypes:
         lambda: qh.fock_acceptance_probabilities_imperfect(True, 1.0),
         lambda: SweepSpec(lam=[0.3], x0=[True]),
         lambda: SweepSpec(lam=[0.3], x0=[1.0], quantities=["p_n"], pn_max=True),
-    ], ids=["lam", "x0", "eta", "eta-0d-array", "grid", "n_max", "sweep-grid", "pn_max"])
+        lambda: qh.solve_threshold_for_mandel_q(qh.Squeezing(0.3), True),
+        lambda: qh.optimal_squeezing_for_mandel_q(False),
+        lambda: qh.husimi([0.5, 0.5], True),
+        lambda: qh.wigner([0.5, 0.5], [True]),
+        lambda: qh.wigner([0.5, 0.5], [1.0, True]),
+        lambda: qh.husimi([True], 0.0),
+        lambda: qh.Squeezing.from_r(True),
+        lambda: qh.AcceptanceWindow.from_intervals([(True, 2.0)]),
+    ], ids=["lam", "x0", "eta", "eta-0d-array", "grid", "n_max", "sweep-grid", "pn_max",
+            "q", "q-optimal", "r", "r-list", "r-mixed-list", "p", "r-from", "interval-end"])
     def test_booleans_are_not_numbers(self, make):
         # a bool is an int to Python, but True is no threshold, efficiency or order
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^\w+ must"):
             make()
+
+    def test_from_r_refuses_a_string(self):
+        with pytest.raises(ValueError, match="^r must"):
+            qh.Squeezing.from_r("1")
 
     def test_detector_validation(self):
         # at n_bar = 1e308, 2 n_bar overflows and s is nan
