@@ -9,9 +9,10 @@ tests, in ``tests/_oracles.py``.
 
 Every random value of the Monte Carlo is a uniform: shot i reads Philox
 block i under key=seed (normals come from ``ndtri``), shots run in
-fixed-size chunks reached by ``Philox.advance``, and every statistic
+fixed-size chunks reached by ``Philox.advance``, the thin tail of one
+chunk's walk for n joins the next chunk's walk, and every statistic
 derives from an integer histogram.  The result is therefore bit-identical
-across reruns and for any chunking.
+across reruns and for any chunking or grouping of the walk.
 """
 
 from __future__ import annotations
@@ -33,8 +34,11 @@ __all__ = [
 
 # shots per chunk; the result does not depend on it
 _CHUNK_SHOTS = 1 << 15
-# walk steps between exponent rescales and removals of finished shots
+# walk steps between exponent rescales and removals of finished shots;
+# at most 127, the int8 block counter's range
 _WALK_BLOCK = 8
+# shots still walking below which a group waits for the next to catch up
+_PARK_SHOTS = 1 << 12
 # Cramer's inequality |psi_n(x)| <= 1.0865 pi^(-1/4), squared
 _CRAMER_SQ = 1.0865 ** 2 / math.sqrt(math.pi)
 # resolution of the uniforms: a walk whose proven tail mass is below it
@@ -80,15 +84,25 @@ def _shot_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     """Uniforms of shots start .. start+count-1, shape (count, 4).
 
     Row i is Philox block start+i under key=seed, each 64-bit word mapped
-    to the midpoint of one of 2^52 equal cells of (0, 1), so ``ndtri``
-    stays finite and u, 1-u are equally likely.
+    by :func:`_uniforms`.
     """
     raw = np.random.Philox(key=seed).advance(start).random_raw(4 * count)
+    return _uniforms(raw).reshape(count, 4)
+
+
+def _uniforms(raw: np.ndarray) -> np.ndarray:
+    """Map uint64 words, in place, to uniforms (m + 1/2) 2^-52 of (0, 1).
+
+    m is the word's top 52 bits, so each uniform is the midpoint of one of
+    2^52 equal cells: ``ndtri`` stays finite and u, 1-u are equally likely.
+    The bits of m become the mantissa of 1 + m 2^-52 in [1, 2), and
+    subtracting 1 - 2^-53 is exact (Sterbenz).
+    """
     raw >>= np.uint64(12)
-    u = raw.astype(np.float64)
-    u += 0.5
-    u *= _U_RESOLUTION
-    return u.reshape(count, 4)
+    raw |= np.uint64(0x3FF0000000000000)
+    u = raw.view(np.float64)
+    u -= 1.0 - 0.5 * _U_RESOLUTION
+    return u
 
 
 def _quadratures(lam: float, d: DetectorModel,
@@ -118,83 +132,121 @@ def _log_mehler(x, lam: float):
         - 0.5 * math.log(math.pi * (1.0 - lam * lam))
 
 
-def _sample_orders(x: np.ndarray, u: np.ndarray,
-                   lam: float) -> tuple[np.ndarray, int]:
+class _Walk:
     """Draw n_i from P(n | x_i) = lam^n psi_n(x_i)^2 / M(x_i) by inversion.
 
-    n_i is the least n whose cumulative probability exceeds u_i.  All
-    shots walk the psi_n recurrence in lockstep, scaled by
-    lam^(n/2) / sqrt(M(x)) so that its squares are the probabilities.
-    Each shot carries a base-2 exponent, rescaled every _WALK_BLOCK steps,
-    because the seed pi^(-1/4) e^(-x^2/2) / sqrt(M(x)) =
+    n_i is the least n whose cumulative probability exceeds u_i.  Each
+    chunk's shots (:meth:`add`) walk the psi_n recurrence in lockstep,
+    scaled by lam^(n/2) / sqrt(M(x)) so that its squares are the
+    probabilities.  Each shot carries a base-2 exponent, rescaled every
+    _WALK_BLOCK steps, because the seed pi^(-1/4) e^(-x^2/2) / sqrt(M(x)) =
     (1-lam^2)^(1/4) exp(-lam x^2 / (1+lam)) underflows for lam near 1.
-    The probabilities take it as the factor 2^(2e) of _pow4.  Finished
-    shots are dropped in batches at those points, so the work is
-    O(sum n_i); a batch goes by index, one ``flatnonzero`` of the shots
-    that walk on and one ``take`` per array, which numpy runs several
-    times faster than a boolean gather.  Cramer's inequality bounds the
-    mass beyond order n by _CRAMER_SQ lam^(n+1) / ((1-lam) M(x)); a shot
-    whose cumulative sum, through rounding, has not passed u when that
-    bound falls below the resolution of u stops there.  Returns
-    (n, number of such stops).
+    The probabilities take it as the factor 2^(2e) of _pow4.  A step adds
+    each shot's ``total <= u`` to an int8 block counter, and the block adds
+    that to the int64 order once, so no step runs numpy's casting loop.
+
+    At each rescale the finished shots are tallied into the integer
+    histogram ``hist`` and dropped, by index, once they are an eighth of
+    the group, so the work is O(sum n_i) and only the shots still walking
+    are held.  Cramer's inequality bounds the mass beyond order n by
+    _CRAMER_SQ lam^(n+1) / ((1-lam) M(x)); a shot whose cumulative sum,
+    through rounding, has not passed u when that bound falls below the
+    resolution of u stops there, counted in ``tail_stops``.
+
+    Once fewer than _PARK_SHOTS of a group still walk, numpy's call
+    overhead outweighs its passes, so the group is parked at its step k.
+    The next group to reach the same k takes it in, and :meth:`finish`
+    resumes what is left, lowest k first.  Each shot's arithmetic reads
+    only its own values and the step's scalars, and the parked k is a
+    multiple of _WALK_BLOCK, so every shot rescales and stops at the same
+    steps however the shots are grouped: the histogram is bit-identical.
     """
-    n = np.zeros(len(x), dtype=np.int64)
-    if lam == 0.0 or len(x) == 0:
-        return n, 0
-    log_lam = math.log(lam)
-    n_stop = np.ceil((math.log(_U_RESOLUTION * (1.0 - lam) / _CRAMER_SQ)
-                      + _log_mehler(x, lam)) / log_lam) - 1.0
-    t = (0.25 * math.log1p(-lam * lam) - lam * x * x / (1.0 + lam)) \
-        / math.log(2.0)
-    e = np.floor(t)
-    cur = np.exp2(t - e)                 # the scaled psi_n is cur * 2^e
-    e = e.astype(np.int64)
-    prev = np.zeros_like(cur)
-    scale = _pow4(e)
-    total = cur * cur * scale
-    count = (total <= u).astype(np.int64)
-    xs = x * math.sqrt(2.0 * lam)
-    idx = np.arange(len(x))
-    k, tail_stops = 0, 0
-    new, sq, below = (np.empty_like(x), np.empty_like(x),
-                      np.empty(len(x), dtype=bool))
-    while True:
-        done = total > u
-        out = done | (k >= n_stop)
-        n_out = int(np.count_nonzero(out))
-        stops = n_out - int(np.count_nonzero(done))
-        # drop finished shots once they are an eighth of the active ones;
-        # a finished shot's count no longer moves, a stopped one's would.
-        # Every active count is written: those of shots that walk on are
-        # written again when they finish
-        if stops or 8 * n_out >= len(idx):
-            tail_stops += stops
-            n[idx] = count
-            if n_out == len(idx):
-                return n, tail_stops
-            keep = np.flatnonzero(~out)
-            idx, xs, u, n_stop, e, scale, prev, cur, total, count = (
-                a.take(keep) for a in (idx, xs, u, n_stop, e, scale, prev,
-                                       cur, total, count))
-            new, sq, below = (np.empty_like(cur), np.empty_like(cur),
-                              np.empty(len(cur), dtype=bool))
-        for _ in range(_WALK_BLOCK):
-            k += 1
-            np.multiply(xs, cur, out=new)
-            new *= 1.0 / math.sqrt(k)
-            prev *= lam * math.sqrt((k - 1) / k)
-            new -= prev
-            prev, cur, new = cur, new, prev
-            np.multiply(cur, cur, out=sq)
-            sq *= scale
-            total += sq
-            np.less_equal(total, u, out=below)
-            count += below
-        _, de = np.frexp(np.maximum(np.abs(prev), np.abs(cur)))
-        np.ldexp(prev, -de, out=prev)
-        np.ldexp(cur, -de, out=cur)
-        e += de
-        scale = _pow4(e)
+
+    def __init__(self, lam: float):
+        self.lam = lam
+        self.hist = np.zeros(1, dtype=np.int64)
+        self.tail_stops = 0
+        self.parked = {}        # step k -> the group parked there
+
+    def add(self, x: np.ndarray, u: np.ndarray) -> None:
+        """Walk the shots of one chunk, quadratures x and uniforms u."""
+        lam = self.lam
+        if lam == 0.0 or len(x) == 0:
+            self.hist[0] += len(x)
+            return
+        n_stop = np.ceil((math.log(_U_RESOLUTION * (1.0 - lam) / _CRAMER_SQ)
+                          + _log_mehler(x, lam)) / math.log(lam)) - 1.0
+        t = (0.25 * math.log1p(-lam * lam) - lam * x * x / (1.0 + lam)) \
+            / math.log(2.0)
+        e = np.floor(t)
+        cur = np.exp2(t - e)             # the scaled psi_n is cur * 2^e
+        e = e.astype(np.int64)
+        total = cur * cur * _pow4(e)
+        count = (total <= u).astype(np.int64)
+        self._walk(0, (x * math.sqrt(2.0 * lam), u, n_stop, e,
+                       np.zeros_like(cur), cur, total, count), park=True)
+
+    def finish(self) -> None:
+        """Walk every parked shot to its order."""
+        while self.parked:
+            k = min(self.parked)
+            self._walk(k, self.parked.pop(k), park=False)
+
+    def _walk(self, k: int, group: tuple, park: bool) -> None:
+        """Walk a group from step k until its shots finish or, with park,
+        until it thins out."""
+        lam = self.lam
+        while True:
+            if k in self.parked:
+                group = tuple(np.concatenate(pair)
+                              for pair in zip(group, self.parked.pop(k)))
+            xs, u, n_stop, e, prev, cur, total, count = group
+            done = total > u
+            out = done | (k >= n_stop)
+            n_out = int(np.count_nonzero(out))
+            stops = n_out - int(np.count_nonzero(done))
+            n_live = len(u) - n_out
+            thin = park and n_live < _PARK_SHOTS
+            # a finished shot's count no longer moves, a stopped one's would
+            if stops or 8 * n_out >= len(u) or (thin and n_out):
+                self.tail_stops += stops
+                self._tally(count[out])
+                if n_live == 0:
+                    return
+                keep = np.flatnonzero(~out)
+                group = tuple(a.take(keep) for a in group)
+                xs, u, n_stop, e, prev, cur, total, count = group
+            if thin:
+                self.parked[k] = group
+                return
+            scale = _pow4(e)
+            new, sq = np.empty_like(cur), np.empty_like(cur)
+            below = np.empty(len(cur), dtype=bool)
+            steps = np.zeros(len(cur), dtype=np.int8)
+            for _ in range(_WALK_BLOCK):
+                k += 1
+                np.multiply(xs, cur, out=new)
+                new *= 1.0 / math.sqrt(k)
+                prev *= lam * math.sqrt((k - 1) / k)
+                new -= prev
+                prev, cur, new = cur, new, prev
+                np.multiply(cur, cur, out=sq)
+                sq *= scale
+                total += sq
+                np.less_equal(total, u, out=below)
+                steps += below.view(np.int8)
+            count += steps
+            _, de = np.frexp(np.maximum(np.abs(prev), np.abs(cur)))
+            np.ldexp(prev, -de, out=prev)
+            np.ldexp(cur, -de, out=cur)
+            e += de
+            group = (xs, u, n_stop, e, prev, cur, total, count)
+
+    def _tally(self, n: np.ndarray) -> None:
+        counts = np.bincount(n)
+        if len(counts) > len(self.hist):
+            self.hist, counts = counts, self.hist
+        self.hist[:len(counts)] += counts
 
 
 def _pow4(e: np.ndarray) -> np.ndarray:
@@ -249,23 +301,20 @@ def monte_carlo_experiment(s: Squeezing, w: AcceptanceWindow,
     """
     _check_domain(shots=shots, seed=seed)
 
-    hist = np.zeros(1, dtype=np.int64)
-    chunks, tail_stops = 0, 0
-    for start in range(0, shots, _CHUNK_SHOTS):
+    walk = _Walk(s.lam)
+    starts = range(0, shots, _CHUNK_SHOTS)
+    for start in starts:
         u = _shot_uniforms(seed, start, min(_CHUNK_SHOTS, shots - start))
         x, measured = _quadratures(s.lam, d, u)
         accept = np.flatnonzero(w.contains(measured))
-        n, stops = _sample_orders(x.take(accept), u[:, 2].take(accept), s.lam)
-        counts = np.bincount(n, minlength=len(hist))
-        counts[:len(hist)] += hist
-        hist = counts
-        chunks += 1
-        tail_stops += stops
+        walk.add(x.take(accept), u[:, 2].take(accept))
+    walk.finish()
+    hist = walk.hist
 
     accepted = int(hist.sum())
     emp_c = accepted / shots
     se_c = math.sqrt(emp_c * (1.0 - emp_c) / shots)
-    diagnostics = {"chunks": chunks, "tail_bound_stops": tail_stops,
+    diagnostics = {"chunks": len(starts), "tail_bound_stops": walk.tail_stops,
                    "walk_steps": int(np.arange(len(hist)) @ hist),
                    "max_order": len(hist) - 1 if accepted else 0}
 

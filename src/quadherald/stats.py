@@ -118,16 +118,19 @@ def _check_domain(grid: bool = False, **values) -> None:
     """
     for name, value in values.items():
         rule, inside, kind = _DOMAINS[name]
-        if isinstance(value, kind) and not isinstance(value, bool):
-            bad = [] if inside(kind[0](value)) else [value]    # np.float64 too: no array
-        else:
-            v = np.asarray(value)
-            bad = [value]
-            if kind is _REAL and v.dtype.kind in "iuf" and (grid or v.ndim == 0):
-                with np.errstate(over="ignore"):   # 2 n_bar may overflow to inf
-                    bad = v[~inside(v.astype(float))].tolist()
-                if isinstance(value, (list, tuple)):      # [True, 2.0] reads as floats
-                    bad += [x for x in value if isinstance(x, (bool, np.bool_))]
+        bad = [value]
+        try:    # OverflowError: an int beyond the doubles; ValueError: a ragged grid
+            if isinstance(value, kind) and not isinstance(value, bool):
+                bad = [] if inside(kind[0](value)) else [value]    # np.float64 too: no array
+            else:
+                v = np.asarray(value)
+                if kind is _REAL and v.dtype.kind in "iuf" and (grid or v.ndim == 0):
+                    with np.errstate(over="ignore"):   # 2 n_bar may overflow to inf
+                        bad = v[~inside(v.astype(float))].tolist()
+                    if isinstance(value, (list, tuple)):      # [True, 2.0] reads as floats
+                        bad += [x for x in value if isinstance(x, (bool, np.bool_))]
+        except (OverflowError, ValueError):
+            pass
         if bad:
             raise ValueError(f"{name} must {rule}, got {bad[0]!r}")
 

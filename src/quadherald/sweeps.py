@@ -42,10 +42,19 @@ def _numbers(name: str, values) -> tuple[float, ...]:
         try:
             values = tuple(values)
             if not any(isinstance(v, (bool, np.bool_)) for v in values):
-                return tuple(map(float, values))
+                return tuple(map(_float, values))
         except TypeError:
             pass
     raise ValueError(f"{name} must be a list of numbers, got {values!r}")
+
+
+def _float(value) -> float:
+    """float(value), with an int beyond the doubles rounded to +-inf as IEEE
+    rounds it; no grid's domain holds +-inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 @dataclass(frozen=True)

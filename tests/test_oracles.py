@@ -14,8 +14,7 @@ from _oracles import (fock_acceptance_quadrature, fock_acceptance_recurrence,
                       fock_smeared_quadrature_pdf, oscillator_eigenfunctions,
                       threshold_window)
 from quadherald import oracles
-from quadherald.oracles import _log_mehler, _quadratures, _sample_orders, \
-    _shot_uniforms
+from quadherald.oracles import _log_mehler, _quadratures, _shot_uniforms, _uniforms
 
 IDEAL = qh.DetectorModel.ideal()
 
@@ -114,15 +113,25 @@ def fock_weights(x, lam, n_max):
     return lam ** np.arange(n_max + 1) * psi * psi / math.exp(_log_mehler(x, lam))
 
 
-def chi_square_pvalue(samples, probs):
-    """Chi-square p-value of integer samples against probs; the bins with
-    fewer than 5 expected counts, and the orders beyond probs, are pooled."""
-    expected = probs * len(samples)
+def chi_square_pvalue(hist, probs):
+    """Chi-square p-value of an integer histogram against probs; the bins
+    with fewer than 5 expected counts, and the orders beyond probs, are
+    pooled."""
+    total = hist.sum()
+    expected = probs * total
     big = expected >= 5.0
-    observed = np.bincount(samples, minlength=len(probs))[:len(probs)][big]
-    obs = np.append(observed, len(samples) - observed.sum())
-    exp = np.append(expected[big], len(samples) - expected[big].sum())
+    observed = np.pad(hist, (0, len(probs)))[:len(probs)][big]
+    obs = np.append(observed, total - observed.sum())
+    exp = np.append(expected[big], total - expected[big].sum())
     return chisquare(obs, exp).pvalue
+
+
+def sample_orders(x, u, lam):
+    """(histogram of n, tail-bound stops) of one chunk of shots."""
+    walk = oracles._Walk(lam)
+    walk.add(x, u)
+    walk.finish()
+    return walk.hist, walk.tail_stops
 
 
 class TestFockSampler:
@@ -133,20 +142,30 @@ class TestFockSampler:
         assert not np.array_equal(u, _shot_uniforms(8, 0, 3000))
         assert 0.0 < u.min() and u.max() < 1.0
         x, _ = _quadratures(0.9, IDEAL, u)
-        a, _ = _sample_orders(x, u[:, 2], 0.9)
-        b, _ = _sample_orders(x, u[:, 2], 0.9)
+        a, _ = sample_orders(x, u[:, 2], 0.9)
+        b, _ = sample_orders(x, u[:, 2], 0.9)
         assert np.array_equal(a, b)
+
+    def test_uniforms_from_bit_patterns(self):
+        # the midpoint (m + 1/2) 2^-52 of the top 52 bits' cell, as
+        # ((raw >> 12) + 0.5) * 2^-52 in float arithmetic gives it
+        raw = np.array([0, 2 ** 12 - 1, 2 ** 12, 2 ** 64 - 1], dtype=np.uint64)
+        assert _uniforms(raw.copy()).tolist() == \
+            [2.0 ** -53, 2.0 ** -53, 3 * 2.0 ** -53, 1.0 - 2.0 ** -53]
+        raw = np.random.Philox(key=3).random_raw(1 << 12)
+        m = (raw >> np.uint64(12)).astype(np.float64)
+        assert np.array_equal(_uniforms(raw), (m + 0.5) * 2.0 ** -52)
 
     @pytest.mark.parametrize("x,lam", [(0.0, 0.5), (1.7, 0.6), (4.0, 0.8),
                                        (9.0, 0.95)])
     def test_conditional_order_matches_fock_weights(self, x, lam):
         shots = 200_000
         u = _shot_uniforms(11, 0, shots)[:, 2]
-        n, stops = _sample_orders(np.full(shots, x), u, lam)
+        hist, stops = sample_orders(np.full(shots, x), u, lam)
         assert stops == 0
         probs = fock_weights(x, lam, 1500)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-        assert chi_square_pvalue(n, probs) > 1e-3
+        assert chi_square_pvalue(hist, probs) > 1e-3
 
     @pytest.mark.parametrize("x,lam", [(0.0, 0.3), (1.2, 0.5), (3.5, 0.9),
                                        (-6.0, 0.97), (20.0, 0.9)])
@@ -160,9 +179,10 @@ class TestFockSampler:
         # an exponent.  E[n|x] and Var[n|x] are lam d/dlam of log M and of
         # E[n|x]; a sampler that loses the scale misses them by far
         x, lam, shots = 60.0, 0.999, 20_000
-        n, stops = _sample_orders(np.full(shots, x),
-                                  _shot_uniforms(5, 0, shots)[:, 2], lam)
+        hist, stops = sample_orders(np.full(shots, x),
+                                    _shot_uniforms(5, 0, shots)[:, 2], lam)
         assert stops == 0
+        n = np.repeat(np.arange(len(hist)), hist)
         mean = lam * (2 * x * x / (1 + lam) ** 2 + lam / (1 - lam * lam))
         var = lam * (2 * x * x * (1 - lam) / (1 + lam) ** 3
                      + 2 * lam / (1 - lam * lam) ** 2)
@@ -183,10 +203,33 @@ class TestFockSampler:
         # u above every attainable cumulative sum: no shot finishes, each
         # stops where Cramer's tail bound falls below the resolution of u,
         # at its own order and in different compaction batches
-        n, stops = _sample_orders(np.array([0.0, 0.5, 3.0, -7.0, 40.0]),
-                                  np.full(5, 1.0 - 2.0 ** -53), lam)
-        assert n.tolist() == orders
+        hist, stops = sample_orders(np.array([0.0, 0.5, 3.0, -7.0, 40.0]),
+                                    np.full(5, 1.0 - 2.0 ** -53), lam)
+        assert np.array_equal(hist, np.bincount(orders))
         assert stops == 4
+
+    def test_parked_group_keeps_its_tail_bound_stops(self):
+        # the five stopping shots of test_tail_bound_stops ride in a chunk
+        # of ordinary shots, are parked with its thin tail, taken in by a
+        # second chunk at the same step and walked on by finish()
+        x = np.linspace(-2.0, 2.0, 20_000)
+        stoppers = (np.array([0.0, 0.5, 3.0, -7.0, 40.0]),
+                    np.full(5, 1.0 - 2.0 ** -53))
+        ordinary = [_shot_uniforms(seed, 0, 20_000)[:, 2] for seed in (21, 22)]
+        walk = oracles._Walk(0.5)
+        walk.add(np.concatenate([x, stoppers[0]]),
+                 np.concatenate([ordinary[0], stoppers[1]]))
+        (k, group), = walk.parked.items()
+        assert k > 0 and np.count_nonzero(group[1] == stoppers[1][0]) == 5
+        walk.add(x, ordinary[1])
+        walk.finish()
+        alone = [sample_orders(x, u, 0.5) for u in ordinary]
+        assert [stops for _, stops in alone] == [0, 0]
+        expected = np.bincount([50, 57, 65, 81, 825])
+        expected[:len(alone[0][0])] += alone[0][0]
+        expected[:len(alone[1][0])] += alone[1][0]
+        assert np.array_equal(walk.hist, expected)
+        assert walk.tail_stops == 4
 
 
 class TestMonteCarlo:
@@ -265,9 +308,8 @@ class TestMonteCarlo:
         res = qh.monte_carlo_experiment(qh.Squeezing(lam), thr(0.0),
                                         shots=200_000, seed=6)
         probs = (1 - lam) * lam ** np.arange(200)
-        n = np.repeat(np.arange(len(res.empirical_p)),
-                      np.rint(res.empirical_p * res.accepted).astype(int))
-        assert chi_square_pvalue(n, probs) > 1e-3
+        hist = np.rint(res.empirical_p * res.accepted).astype(int)
+        assert chi_square_pvalue(hist, probs) > 1e-3
 
     def test_strong_squeezing_is_unbiased(self):
         # a tabulated inverse CDF of psi_n^2 gave z_C = -8.6 here
@@ -289,6 +331,35 @@ class TestMonteCarlo:
         assert (whole.diagnostics["chunks"], chunked.diagnostics["chunks"]) \
             == (1, 6)
         assert json.dumps(chunked.to_dict()) == json.dumps(whole.to_dict())
+
+    def test_parked_groups_rejoin_bit_for_bit(self, monkeypatch):
+        # small chunks whose tails park at several steps k, each taken in
+        # by a later chunk at its k: parking switched off, or the default
+        # chunks, give the same bytes
+        s, w = qh.Squeezing(0.99), thr(1.0)
+        whole = qh.monte_carlo_experiment(s, w, shots=12_000, seed=4)
+        joined = []
+        walk = oracles._Walk._walk
+
+        def spy(self, k, group, park):
+            before = set(self.parked)
+            walk(self, k, group, park)
+            joined.extend(before - set(self.parked))
+
+        monkeypatch.setattr(oracles._Walk, "_walk", spy)
+        monkeypatch.setattr(oracles, "_CHUNK_SHOTS", 2000)
+        monkeypatch.setattr(oracles, "_PARK_SHOTS", 256)
+        parked = qh.monte_carlo_experiment(s, w, shots=12_000, seed=4)
+        assert len(set(joined)) >= 3 and min(joined) > 0
+        monkeypatch.setattr(oracles, "_PARK_SHOTS", 0)
+        joined.clear()
+        unparked = qh.monte_carlo_experiment(s, w, shots=12_000, seed=4)
+        assert joined == []
+        assert parked.diagnostics["chunks"] == 6
+        for res in (parked, whole):
+            assert json.dumps(res.to_dict()) == json.dumps(unparked.to_dict())
+        assert {**parked.diagnostics, "chunks": 1} == whole.diagnostics
+        assert parked.diagnostics == unparked.diagnostics
 
     def test_diagnostics(self):
         res = qh.monte_carlo_experiment(qh.Squeezing(0.5), thr(1.0),

@@ -88,29 +88,30 @@ class TestTypes:
     # or figure job; all but "list", which reads a numeric string, refuse "0.5".
     DOMAINS = {
         "lam": ({"one": [qh.Squeezing], "list": [spec_grid("lam")]},
-                [0.0, 0.999], [-1e-300, 1.0, math.nan, math.inf]),
+                [0.0, 0.999], [-1e-300, 1.0, math.nan, math.inf, 10 ** 400]),
         "x0": ({"one": [qh.AcceptanceWindow.threshold, qh.mandel_q_slope_at_zero_squeezing,
                         lambda v: qh.fock_acceptance_probabilities_imperfect(1, v)],
                 "list": [spec_grid("x0")]},
-               [0.0, 40.0], [-1e-300, math.nan, math.inf, -math.inf]),
+               [0.0, 40.0], [-1e-300, math.nan, math.inf, -math.inf, 10 ** 400]),
         "eta": ({"one": [lambda v: qh.DetectorModel(eta=v)], "list": [spec_grid("eta")]},
-                [1e-300, 1.0], [0.0, 1.0 + 2.0 ** -52, math.nan, -math.inf]),
+                [1e-300, 1.0], [0.0, 1.0 + 2.0 ** -52, math.nan, -math.inf, -10 ** 400]),
         "n_bar": ({"one": [lambda v: qh.DetectorModel(n_bar=v), qh.efficiency_threshold],
                    "list": [spec_grid("nbar")]},
-                  [0.0, 8.9e307], [-1e-300, 1e308, math.nan, math.inf]),
+                  [0.0, 8.9e307], [-1e-300, 1e308, math.nan, math.inf, 10 ** 400, -10 ** 400]),
         "tol": ({"one": [lambda v: qh.photon_distribution(qh.Squeezing(0.2), thr(1.0), tol=v),
                          lambda v: SweepSpec(lam=[0.5], x0=[1.0], tol=v)]},
-                [1e-300, 1e-3], [0.0, 1e-3 + 2.0 ** -62, math.nan, math.inf]),
+                [1e-300, 1e-3], [0.0, 1e-3 + 2.0 ** -62, math.nan, math.inf, 10 ** 400]),
         "q": ({"one": [lambda v: qh.solve_threshold_for_mandel_q(qh.Squeezing(0.3), v),
                        qh.optimal_squeezing_for_mandel_q],
                "list": [lambda v: build_figure(FigureJob("fig3", {"q": [v]}))]},
-              [-1.0, 0.5], [-1.0 - 2.0 ** -52, math.nan, math.inf]),
+              [-1.0, 0.5], [-1.0 - 2.0 ** -52, math.nan, math.inf, 10 ** 400]),
         "r": ({"one": [qh.Squeezing.from_r],
                "any": [lambda v: qh.husimi([1.0], v), lambda v: qh.wigner([1.0], [v])]},
-              [0.0, 3.0], [-1e-300, math.nan, math.inf]),
-        "radii": ({"list": [spec_grid("radii")]}, [0.0, 3.0], [-1e-300, math.nan, math.inf]),
+              [0.0, 3.0], [-1e-300, math.nan, math.inf, 10 ** 400]),
+        "radii": ({"list": [spec_grid("radii")]}, [0.0, 3.0],
+                  [-1e-300, math.nan, math.inf, 10 ** 400]),
         "p": ({"any": [lambda v: qh.husimi([1.0, v], 0.0), lambda v: qh.wigner([v, 1.0], 0.0)]},
-              [0.0, 1e-7], [-1e-300, math.nan, math.inf]),
+              [0.0, 1e-7], [-1e-300, math.nan, math.inf, 10 ** 400]),
         "intervals": ({"any": [lambda v: qh.AcceptanceWindow.from_intervals([(-math.inf, v)])]},
                       [0.0, math.inf], [math.nan]),
         "n_max": ({"one": [lambda v: qh.fock_acceptance_probabilities_imperfect(v, 1.0)]},
@@ -160,6 +161,16 @@ class TestTypes:
     def test_booleans_are_not_numbers(self, make):
         # a bool is an int to Python, but True is no threshold, efficiency or order
         with pytest.raises(ValueError, match=r"^\w+ must"):
+            make()
+
+    @pytest.mark.parametrize("make, name", [
+        (lambda: qh.husimi([1.0], [[1.0], [1.0, 2.0]]), "r"),
+        (lambda: qh.wigner([[0.5], [0.25, 0.25]], 1.0), "p"),
+        (lambda: qh.AcceptanceWindow.from_intervals([(0.0, [1.0, 2.0])]), "intervals"),
+    ], ids=["r", "p", "interval-end"])
+    def test_ragged_grid_is_refused_by_its_rule(self, make, name):
+        # numpy cannot make an array of it; the refusal still names the input
+        with pytest.raises(ValueError, match=f"^{name} must"):
             make()
 
     def test_from_r_refuses_a_string(self):
