@@ -2,15 +2,14 @@
 
 One lockstep root-finder (ITP) serves every root here.  It solves the
 threshold that reaches a target Mandel Q on many (lam, q, eta, n_bar)
-lanes at once; a single threshold is a one-lane call.  Each lane's bracket
-is capped at y = 256 in the reduced threshold
-y = x0' sqrt((1 - lam) / (1 + (2 eta' - 1) lam)), not in x0: Q depends on
-x0 through y, and the x0 of a given y grows like (1 - lam)^(-1/2).  A scan
-and nested grids, each grid one lockstep call, find the squeezing that
-maximizes the heralding probability C = erfc(y) along a fixed-Q contour;
-they rank lanes by y, which does not underflow where C does.  The
-weak-squeezing threshold floor is the root of the closed-form slope of Q,
-a one-lane call as well.
+lanes at once; a single threshold is a one-lane call.  As x0 grows, Q falls to
+Q_inf = -2 a lam / (1 + a lam), a = 2 eta' - 1, its value at the largest double,
+so a lane has a root exactly where q > Q_inf, and its bracket doubles until it
+holds the root.  A scan and nested grids, each grid one lockstep call, find the
+squeezing that maximizes the heralding probability C = erfc(y) along a fixed-Q
+contour; they rank lanes by y, which does not underflow where C does.  The
+weak-squeezing threshold floor is the root of the closed-form slope of Q, a
+one-lane call as well.
 """
 
 from __future__ import annotations
@@ -23,7 +22,8 @@ import numpy as np
 from scipy.special import erfc
 
 from .errors import NonConvergenceError
-from .stats import _EPS, DetectorModel, Squeezing, _check_domain, _log_g, _reduced_threshold
+from .stats import (_EPS, DetectorModel, Squeezing, _check_domain, _log_g, _reduced,
+                    _reduced_threshold)
 
 __all__ = [
     "SolveReport",
@@ -33,11 +33,9 @@ __all__ = [
     "efficiency_threshold",
 ]
 
-# bracket cap in y (see the module docstring); at lam = 0.999 Q is still
-# 41.9 at x0 = 256, and -0.82 at x0 = 4096
-_Y_CAP = 256.0
+_X_MAX = float(np.finfo(float).max)
 _SCAN_POINTS = 50
-_LAM_LO, _LAM_HI = 1e-4, 0.999
+_LAM_LO = 1e-4
 
 
 @dataclass(frozen=True)
@@ -66,9 +64,9 @@ def _where(cond, x, y):
 class _Roots(NamedTuple):
     """Per-lane outcome of :func:`_threshold_roots`."""
 
-    x0: np.ndarray            # root; on an infeasible lane 0 or the lane's cap
+    x0: np.ndarray            # root; on an infeasible lane its bracket's end, 0 or 4
     residual: np.ndarray      # Q(x0) - q_target
-    iterations: np.ndarray    # bracket steps (doublings, the last to the cap) + ITP steps
+    iterations: np.ndarray    # bracket steps (the limit, then doublings) + ITP steps
     x_hi: np.ndarray          # bracket [0, x_hi]; 0 when decided at x0 = 0
     feasible: np.ndarray
 
@@ -84,10 +82,10 @@ def _itp(f, a, b, fa, fb):
     """
     active = np.logical_and(fa > 0.0, fb < 0.0)
     steps = np.zeros(np.shape(active), dtype=int)[()]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # eps = (b - a) 2^-55 gives n_1/2 = 54; n0 = 4 leaves slack for the
         # slow first regula falsi steps (with n0 = 1 some lanes fall back to
-        # 50 bisection steps)
+        # 50 bisection steps); near _X_MAX terms overflow, and the clamp keeps x
         eps, k1, n_max = (b - a) * 2.0 ** -55, 0.2 / (b - a), 54 + 4
         for j in range(2 * n_max):      # ITP is bisection once j > n_max
             if not active.any():
@@ -119,12 +117,13 @@ def _itp(f, a, b, fa, fb):
 def _threshold_roots(lam, q_target, eta, n_bar) -> _Roots:
     """Thresholds x0 with Q(lam, x0) = q_target on the broadcast lanes.
 
-    Q falls monotonically in x0 from lam/(1-lam) at x0 = 0, so a sign
-    change over [0, x_hi] brackets the root.  x_hi doubles from 4, and its
-    last step ends on the lane's cap, the x0 whose reduced threshold y is
-    ``_Y_CAP``.  The cap is at least 256, since y <= x0, so a root up to 256
-    is bracketed by doubling alone.  :func:`_itp` shrinks each bracket to
-    two ulps; the end with the smaller |Q - q_target| is the root.
+    Q falls from lam/(1-lam) at x0 = 0 to its limit, its value at ``_X_MAX``, so
+    f = Q - q_target has a root when it is 0 at x0 = 0, or positive there and
+    negative at ``_X_MAX`` (below eta' ~ 0.35 Q first rises, and a target above
+    Q(0) reads as infeasible).  Only a lane with f(4) > 0 needs the limit; with a
+    root, its x_hi doubles from 4, clamped at ``_X_MAX``, to f(x_hi) <= 0.
+    :func:`_itp` shrinks each bracket to two ulps; the end with the smaller
+    |Q - q_target| is the root.
     """
     # a one-lane call of floats runs on numpy scalars, not on arrays
     lam, q_target, eta, n_bar = (v[()] for v in np.broadcast_arrays(
@@ -140,14 +139,15 @@ def _threshold_roots(lam, q_target, eta, n_bar) -> _Roots:
     fa = f(a)
     b = a + _where(fa > 0.0, 4.0, 0.0)     # f(0) <= 0: decided at x0 = 0
     fb = _where(fa > 0.0, f(b), fa)
-    iterations = np.zeros(lam.shape, dtype=int)[()]
-    x_cap = _Y_CAP / _reduced_threshold(lam, 1.0, eta, n_bar)
     grow = fb > 0.0
+    iterations = grow.astype(int)[()]      # the limit: one step for each lane past 4
+    if grow.any():
+        grow &= f(_X_MAX) < 0.0            # Q at the largest double is its limit
     while grow.any():
         iterations = iterations + grow
-        b = _where(grow, np.minimum(2.0 * b, x_cap), b)
+        b = _where(grow, b + np.minimum(b, _X_MAX - b), b)    # 2 b, clamped at _X_MAX
         fb = _where(grow, f(b), fb)
-        grow &= (fb > 0.0) & (b < x_cap)
+        grow &= fb > 0.0
     feasible = (fa == 0.0) | ((fa > 0.0) & (fb <= 0.0))
 
     x_hi = b
@@ -209,45 +209,49 @@ def optimal_squeezing_for_mandel_q(q_target: float,
 
     C = erfc(y) falls as the reduced threshold y grows, so the lanes are
     ranked by y: its argmin is C's argmax, also where C underflows.  A
-    coarse scan over lam, spaced in log(1 - lam), checks feasibility; nested
-    grids of 33 points around the best point then localize the maximum
-    without assuming it is unique, each grid one lockstep call.  A maximum sitting on the first
-    scan point is reported as a boundary supremum (the probability only
-    grows as lam -> 0).  ``value`` is C in double precision.
+    coarse scan over lam, spaced in log(1 - lam) as fig3 and fig6 space their
+    lanes, checks feasibility; nested grids of 33 points around the best point
+    then localize the maximum without assuming it is unique, each grid one
+    lockstep call.  A contour q < 0 reaches the lam above lam_min, where Q's
+    limit is q, and its scan runs from lam_min to 1 - lam = 1e-3 (1 - lam_min);
+    y is +inf up to lam_min, not left to rounding there.  Any other scan runs
+    from lam = 1e-4 to 0.999; a maximum on its first point is a boundary
+    supremum (C only grows as lam -> 0).  ``value`` is C, 0.0 where it underflows.
     """
     _check_domain(q=q_target)
+    a = 2.0 * _reduced(d.eta, d.n_bar)[1] - 1.0
+    lam_min = -q_target / (a * (2.0 + q_target)) if q_target < 0.0 < a else 0.0
+    window = 0.0 < lam_min < 1.0
+    lams = 1.0 - ((1.0 - lam_min) * np.logspace(0.0, -3.0, _SCAN_POINTS + 1) if window
+                  else np.geomspace(1.0 - _LAM_LO, 1e-3, _SCAN_POINTS))
+    lams[0] = lam_min if window else _LAM_LO
+    scan = (float(lams[0]), float(lams[-1]))
 
     def reduced_threshold(lams: np.ndarray) -> np.ndarray:
-        return _contour(lams, q_target, d.eta, d.n_bar)[1]
+        values, inside = np.full(len(lams), np.inf), lams > lam_min
+        values[inside] = _contour(lams[inside], q_target, d.eta, d.n_bar)[1]
+        return values
 
-    # spaced in log(1 - lam), as fig3 and fig6 space their lanes, so a narrow
-    # feasible window near lam -> 1 is not stepped over
-    lams = 1.0 - np.geomspace(1.0 - _LAM_LO, 1.0 - _LAM_HI, _SCAN_POINTS)
-    lams[0] = _LAM_LO
     values = reduced_threshold(lams)
-    evals = _SCAN_POINTS
     if not np.any(np.isfinite(values)):
-        return SolveReport(solution=math.nan, residual=math.nan,
-                           iterations=evals, bracket=(_LAM_LO, _LAM_HI),
-                           feasible=False)
+        return SolveReport(solution=math.nan, residual=math.nan, iterations=_SCAN_POINTS,
+                           bracket=scan, feasible=False)
     best = int(np.argmin(values))
     if best == 0:
-        return SolveReport(solution=float(lams[0]), residual=0.0,
-                           iterations=evals, bracket=(_LAM_LO, _LAM_HI),
+        return SolveReport(solution=scan[0], residual=0.0, iterations=_SCAN_POINTS, bracket=scan,
                            feasible=True, value=float(erfc(values[0])), boundary=True)
 
-    bracket = (float(lams[best - 1]), float(lams[min(best + 1, _SCAN_POINTS - 1)]))
-    lo, hi = bracket
+    lo, hi = bracket = (float(lams[best - 1]), float(lams[min(best + 1, len(lams) - 1)]))
     # each grid shrinks the bracket 16-fold: 5 grids reach ~4e-8, where C
     # is flat to rounding
     for _ in range(5):
         grid = np.linspace(lo, hi, 33)
         values = reduced_threshold(grid)
-        evals += 33
         j = int(np.argmin(values))
         lo, hi = float(grid[max(j - 1, 0)]), float(grid[min(j + 1, 32)])
-    return SolveReport(solution=float(grid[j]), residual=hi - lo, iterations=evals,
-                       bracket=bracket, feasible=True, value=float(erfc(values[j])))
+    return SolveReport(solution=float(grid[j]), residual=hi - lo, bracket=bracket,
+                       iterations=_SCAN_POINTS + 5 * 33, feasible=True,
+                       value=float(erfc(values[j])))
 
 
 def efficiency_threshold(n_bar: float) -> float:

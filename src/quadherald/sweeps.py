@@ -35,14 +35,14 @@ __all__ = ["SweepSpec", "FigureJob", "run_sweep", "build_figure",
 VALID_QUANTITIES = ("C", "mean", "second_factorial", "Q", "p_n", "husimi", "wigner")
 
 
-def _numbers(name: str, values) -> tuple[float, ...]:
-    """A spec list as floats; a scalar, a string, a nested list or a boolean is a
-    usage error."""
+def _numbers(name: str, values, domain: str | None = None) -> tuple[float, ...]:
+    """A spec list as floats in the domain of ``domain or name``; a scalar, a string
+    or a nested list is a usage error.  A bool stays as it is, for the domain to refuse."""
     if not isinstance(values, str):         # "12" would read as [1.0, 2.0]
         try:
-            values = tuple(values)
-            if not any(isinstance(v, (bool, np.bool_)) for v in values):
-                return tuple(map(_float, values))
+            values = tuple(v if isinstance(v, (bool, np.bool_)) else _float(v) for v in values)
+            _check_domain(grid=True, **{domain or name: values})
+            return values
         except TypeError:
             pass
     raise ValueError(f"{name} must be a list of numbers, got {values!r}")
@@ -71,11 +71,10 @@ class SweepSpec:
     radii: tuple[float, ...] = (0.0,)
 
     def __post_init__(self):
-        for name in ("lam", "x0", "eta", "nbar"):
-            object.__setattr__(self, name, _numbers(name, getattr(self, name)))
+        for name, domain in {"lam": "lam", "x0": "x0", "eta": "eta", "nbar": "n_bar"}.items():
+            object.__setattr__(self, name, _numbers(name, getattr(self, name), domain))
             if len(getattr(self, name)) == 0:
                 raise ValueError(f"grid {name} must be nonempty")
-        _check_domain(grid=True, lam=self.lam, x0=self.x0, eta=self.eta, n_bar=self.nbar)
         if not (isinstance(self.quantities, (list, tuple))
                 and all(isinstance(q, str) for q in self.quantities)):
             raise ValueError(
@@ -89,7 +88,6 @@ class SweepSpec:
             raise ValueError(f"quantities repeat a name: {list(self.quantities)}")
         _check_domain(tol=self.tol, pn_max=self.pn_max)
         object.__setattr__(self, "radii", _numbers("radii", self.radii))
-        _check_domain(grid=True, radii=self.radii)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
@@ -192,7 +190,6 @@ _CONTOUR_LAMS = 1.0 - np.logspace(math.log10(1.0 - 0.001), math.log10(1.0 - 0.95
 
 
 def _contour_columns(q, eta, lam, **_) -> dict:
-    _check_domain(grid=True, q=q, eta=eta)
     columns = _grid_columns({"q_target": q, "eta": eta, "lam": lam})
     q, eta, lam = (g.ravel() for g in np.meshgrid(q, eta, lam, indexing="ij"))
     roots, y = _contour(lam, q, eta, 0.0)
@@ -202,7 +199,6 @@ def _contour_columns(q, eta, lam, **_) -> dict:
 
 
 def _fig2_columns(lam, x0) -> dict:
-    _check_domain(grid=True, lam=lam, x0=x0)
     values = _closed_forms(*np.ix_(lam, x0), 1.0, 0.0)
     return _grid_columns({"lam": lam, "x0": x0}, mean_n=values["mean"], Q=values["Q"])
 

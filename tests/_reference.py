@@ -21,8 +21,6 @@ from typing import NamedTuple
 import mpmath as mp
 
 DPS = 60
-#: the solvers' bracket cap, in the reduced threshold y = x0 / sqrt(2 var)
-Y_CAP = 256
 
 
 class Moments(NamedTuple):
@@ -69,13 +67,26 @@ def threshold_at(lam, y, eta=1.0, n_bar=0.0):
         return y / _tail_argument(*map(mp.mpf, (lam, 1, eta, n_bar)))
 
 
-def threshold_for_q(lam, q, eta=1.0, n_bar=0.0):
-    """x0 with Q(lam, x0) = q by bisection on [0, threshold_at(lam, Y_CAP)],
-    or None if Q is still above q there (Q falls as x0 grows)."""
+def q_limit(lam, eta=1.0, n_bar=0.0):
+    """Q's limit as the threshold grows, from Q itself: in the reduced threshold y,
+    Q = Q_inf + c / y^2 + O(1 / y^4), so (4 Q(2y) - Q(y)) / 3 at y = 10^7 is
+    within 1e-21 of it up to lam = 1 - 1e-6."""
     with mp.workdps(DPS):
-        lo, hi = mp.mpf(0), threshold_at(lam, Y_CAP, eta, n_bar)
-        if moments(lam, hi, eta, n_bar).Q > q:
+        q1, q2 = (moments(lam, threshold_at(lam, y, eta, n_bar), eta, n_bar).Q
+                  for y in (10 ** 7, 2 * 10 ** 7))
+        return (4 * q2 - q1) / 3
+
+
+def threshold_for_q(lam, q, eta=1.0, n_bar=0.0):
+    """x0 with Q(lam, x0) = q for q below Q(lam, 0), or None if q <= ``q_limit``
+    (Q falls to it as x0 grows).  The bracket doubles in y from y = 1 until Q
+    is below q, and bisection narrows it to 1e-20 relative."""
+    with mp.workdps(DPS):
+        if q <= q_limit(lam, eta, n_bar):
             return None
+        lo, hi = mp.mpf(0), threshold_at(lam, 1, eta, n_bar)
+        while moments(lam, hi, eta, n_bar).Q > q:
+            lo, hi = hi, 2 * hi
         while hi - lo > mp.mpf(10) ** -20 * hi:
             mid = (lo + hi) / 2
             lo, hi = (mid, hi) if moments(lam, mid, eta, n_bar).Q > q else (lo, mid)

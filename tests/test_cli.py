@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+import _reference as ref
 import quadherald as qh
 from quadherald.cli import main
 from quadherald.sweeps import FigureJob, SweepSpec, build_figure, run_sweep
@@ -477,7 +478,7 @@ def test_csv_json_cells_have_no_nonfinite_literals(capsys):
     ["sweep", "--lambda", "0,0.5", "--x0", "1,1e80"],    # Q is 0/0, <n(n-1)> overflows
     ["figure", "fig6"],                                    # contour lanes out of reach
     ["montecarlo", "--lambda", "0", "--x0", "1", "--shots", "2000"],
-    ["solve", "optimal-lambda", "--q", "-0.9999"],         # infeasible: no solution
+    ["solve", "optimal-lambda", "--q", "-0.5", "--eta", "0.45"],   # infeasible: a < 0
     ["stats", "--lambda", "0.5", "--x0", "1e80"],
 ], ids=["sweep", "fig6", "montecarlo", "optimal-lambda", "stats"])
 def test_a_missing_number_is_null_in_json_and_empty_in_csv(argv, tmp_path):
@@ -578,6 +579,26 @@ class TestSolveCommand:
         record = json.loads(out)
         assert code == 0 and record["feasible"] is True
         assert record["solution"] == pytest.approx(2448.6063, rel=1e-7)
+
+    @pytest.mark.parametrize("argv", [
+        ["x0-for-q", "--lambda", "0.99", "--q", "-0.994"],
+        ["x0-for-q", "--lambda", "0.99", "--q", "-0.9949"],
+        ["x0-for-q", "--lambda", "0.99", "--q", "-0.99496"],
+        ["optimal-lambda", "--q", "-0.995"],
+        ["optimal-lambda", "--q", "-0.997"],
+        ["optimal-lambda", "--q", "-0.998"],
+    ])
+    def test_contours_close_to_the_limit_are_solved(self, capsys, argv):
+        # each was reported infeasible while the bracket was capped at y = 256 and
+        # the scan at lam = 0.999; Q's limit -2 lam / (1 + lam) is below each q
+        code, out, _ = run(capsys, "solve", *argv)
+        record = json.loads(out)
+        assert code == 0 and record["feasible"] is True
+        if argv[0] == "x0-for-q":
+            exact = ref.threshold_for_q(0.99, record["q"])
+            assert abs(record["solution"] - exact) <= 1e-12 * exact
+        else:                       # above the contour's edge, lam_min = -q / (2 + q)
+            assert -record["q"] / (2.0 + record["q"]) < record["solution"] < 1.0
 
     def test_optimal_lambda_boundary(self, capsys):
         code, out, _ = run(capsys, "solve", "optimal-lambda", "--q", "0")

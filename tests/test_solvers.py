@@ -11,7 +11,7 @@ from scipy.special import erfc, erfcx
 
 import _reference as ref
 import quadherald as qh
-from quadherald import solvers
+from quadherald import solvers, stats
 from quadherald.sweeps import FigureJob, build_figure
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
@@ -62,13 +62,11 @@ class TestThresholdForQ:
         rep = qh.solve_threshold_for_mandel_q(qh.Squeezing(0.2), 0.0,
                                               qh.DetectorModel(eta=0.45))
         assert not rep.feasible
-        # doubled from 4 to 256, then one step to the cap, the x0 whose
-        # y = x0 sqrt((1 - lam) / (1 + (2 eta - 1) lam)) is 256
-        x_cap = 256.0 / math.sqrt(0.8 / 0.98)
-        assert rep.bracket[0] == 0.0
+        # Q's limit, 2 |a| lam / (1 - |a| lam) with a = 2 eta - 1, is above 0: the
+        # one evaluation there decides it, and the bracket never doubles
         assert math.isnan(rep.solution)
-        assert rep.bracket[1] == pytest.approx(x_cap, rel=1e-15)
-        assert rep.iterations == 7 and rep.residual > 0.0
+        assert rep.bracket == (0.0, 4.0)
+        assert rep.iterations == 1 and rep.residual > 0.0
 
     @pytest.mark.parametrize("lam, q", [(0.99, -0.9), (0.999, -0.05), (0.999, -0.5),
                                          (0.9999, 0.0), (0.99, -0.99)])
@@ -122,7 +120,7 @@ class TestLockstepSolver:
                                               qh.DetectorModel(eta=eta, n_bar=nbar))
         assert (rep.residual, rep.iterations, rep.bracket, rep.feasible) == (
             roots.residual, roots.iterations, (0.0, roots.x_hi), roots.feasible)
-        # an infeasible lane's x0 is 0 or its cap, which solves nothing
+        # an infeasible lane's x0 is its bracket's end, 0 or 4, which solves nothing
         assert (rep.solution == roots.x0) if rep.feasible else math.isnan(rep.solution)
         if rep.feasible and rep.solution > 0.0:
             s, d = qh.Squeezing(lam), qh.DetectorModel(eta=eta, n_bar=nbar)
@@ -164,16 +162,96 @@ class TestLockstepSolver:
             q = ref.moments(lam[k], x0, eta[k]).Q
             assert abs(float(q - q_target[k])) <= 1e-12, (lam[k], x0, eta[k], q_target[k])
 
-    @pytest.mark.parametrize("fig", ["fig3", "fig6"])
-    def test_infeasible_contour_lanes_stay_above_target_up_to_the_cap(self, fig):
-        columns = build_figure(FigureJob(fig))[2].columns
-        lam, eta, q_target = (np.take(columns[name].values, columns[name].codes)
-                              for name in ("lam", "eta", "q_target"))
-        infeasible = np.flatnonzero(~columns["feasible"])
-        assert len(infeasible) > 0
-        for k in infeasible:
-            x_cap = ref.threshold_at(lam[k], ref.Y_CAP, eta[k])
-            assert ref.moments(lam[k], x_cap, eta[k]).Q > q_target[k], (lam[k], eta[k])
+    def test_infeasible_contour_lanes_stay_above_target_up_to_the_cap(self):
+        # an infeasible lane's target is at or below Q's limit, so Q, which falls
+        # to that limit, is above the target at every threshold; checked at y = 256
+        for fig in ("fig3", "fig6"):
+            columns = build_figure(FigureJob(fig))[2].columns
+            lam, eta, q_target = (np.take(columns[name].values, columns[name].codes)
+                                  for name in ("lam", "eta", "q_target"))
+            infeasible = np.flatnonzero(~columns["feasible"])
+            assert len(infeasible) > 0
+            for k in infeasible:
+                assert q_target[k] <= ref.q_limit(lam[k], eta[k]), (fig, lam[k], eta[k])
+                x_cap = ref.threshold_at(lam[k], 256, eta[k])
+                assert ref.moments(lam[k], x_cap, eta[k]).Q > q_target[k], (fig, lam[k], eta[k])
+
+
+def q_limit(lam, eta, n_bar):
+    """Q's limit as x0 -> inf, -2 a lam / (1 + a lam) with a = 2 eta' - 1 (README)."""
+    a = 2.0 * eta / (1.0 + 2.0 * n_bar * (1.0 - eta)) - 1.0
+    return -2.0 * a * lam / (1.0 + a * lam)
+
+
+class TestFeasibility:
+    def test_closed_form_limit_matches_the_reference(self):
+        rng = np.random.default_rng(11)
+        for lam, eta, n_bar in zip(1.0 - 10.0 ** rng.uniform(-6.0, 0.0, 6),
+                                   rng.uniform(0.3, 1.0, 6), rng.uniform(0.0, 2.0, 6)):
+            exact = ref.q_limit(lam, eta, n_bar)
+            assert abs(q_limit(lam, eta, n_bar) - exact) <= 4e-16 * abs(exact)
+
+    def test_feasible_exactly_above_the_limit(self):
+        # lanes on both sides of Q's limit: random targets, targets 1e-6 (relative)
+        # from the limit, and lam 1e-6 (relative) on either side of the contour's
+        # edge lam_min = -q / (a (2 + q)), where the limit is q
+        rng = np.random.default_rng(2)
+        n = 200
+        lam = 1.0 - 10.0 ** rng.uniform(-6.0, 0.0, n)
+        n_bar = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.0, 2.0, n))
+        eta = rng.uniform(0.3, 1.0, n)
+        limit = q_limit(lam, eta, n_bar)
+        side = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        q = np.where(np.arange(n) % 2 == 0, limit + side * 1e-6 * np.abs(limit),
+                     rng.uniform(-1.0, 1.0, n))
+        edge_q, edge_eta = rng.uniform(-0.999, -1e-3, n), rng.uniform(0.6, 1.0, n)
+        a = 2.0 * edge_eta - 1.0
+        lam_min = -edge_q / (a * (2.0 + edge_q))
+        keep = lam_min < 0.999
+        edge_lam = lam_min[keep] * (1.0 + side[keep] * 1e-6)
+        lam, q = np.concatenate([lam, edge_lam]), np.concatenate([q, edge_q[keep]])
+        eta = np.concatenate([eta, edge_eta[keep]])
+        n_bar = np.concatenate([n_bar, np.zeros(keep.sum())])
+        roots = solvers._threshold_roots(lam, q, eta, n_bar)
+        # q above Q(0) = lam / (1 - lam) has no root either
+        expected = (q > q_limit(lam, eta, n_bar)) & (q <= lam / (1.0 - lam))
+        assert 0 < expected.sum() < len(q)
+        assert (roots.feasible == expected).all()
+        assert (roots.feasible[n:] == (edge_lam > lam_min[keep])).all()
+        assert np.all(np.abs(roots.residual[roots.feasible]) <= 1e-12)
+
+    def test_q_falls_monotonically_up_to_y_1e7(self):
+        # the bracket rests on it; for eta' = eta / (1 + 2 n_bar (1 - eta)) >= 1/2,
+        # that is eta >= efficiency_threshold(n_bar) = (1 + 2 n_bar) / (2 + 2 n_bar).
+        # (Below eta' ~ 0.35, Q first rises above Q(0) at small lam.)
+        rng = np.random.default_rng(7)
+        n = 64
+        lam = 1.0 - 10.0 ** rng.uniform(-6.0, 0.0, n)
+        n_bar = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.0, 2.0, n))
+        eta = rng.uniform((1.0 + 2.0 * n_bar) / (2.0 + 2.0 * n_bar), 1.0)
+        y = np.concatenate([[0.0], np.geomspace(1e-3, 1e7, 2000)])
+        x0 = y[:, None] / stats._reduced_threshold(lam, 1.0, eta, n_bar)
+        q = lam * stats._log_g(lam, eta, n_bar)(x0)
+        assert np.all(np.diff(q, axis=0) <= 0.0)
+
+    @pytest.mark.parametrize("lam, eta, n_bar", [(0.99, 1.0, 0.0), (0.5, 0.8, 0.3),
+                                                 (0.999999, 1.0, 0.0), (1e-4, 1.0, 0.0),
+                                                 (0.7, 1.0, 0.0)])
+    def test_target_within_rounding_of_the_limit_ends(self, lam, eta, n_bar):
+        # a target a few ulps above the limit has its root where Q is its limit to
+        # rounding (at lam = 0.7, up to x0 ~ 2e308); each ends with a root or raises
+        limit = lam * stats._log_g(lam, eta, n_bar)(np.finfo(float).max)
+        targets = [np.nextafter(limit, -math.inf), limit]
+        for _ in range(4):
+            targets.append(np.nextafter(targets[-1], math.inf))
+        for q in targets:
+            try:
+                roots = solvers._threshold_roots(lam, q, eta, n_bar)
+            except qh.NonConvergenceError:
+                continue
+            assert roots.feasible == (q > limit)
+            if roots.feasible:
+                assert abs(roots.residual) <= 4 * np.spacing(1.0)
 
 
 class TestMinimumPoissonianThreshold:
@@ -260,6 +338,25 @@ class TestOptimalSqueezing:
         rep = qh.optimal_squeezing_for_mandel_q(-0.99)
         assert rep.feasible and not rep.boundary
         assert rep.solution == pytest.approx(0.99005, abs=1e-5)
+
+    def test_window_above_lam_0999_is_scanned(self):
+        # the contour q = -0.9995 reaches only lam > lam_min = 0.9990005, above
+        # where the scan used to end
+        rep = qh.optimal_squeezing_for_mandel_q(-0.9995)
+        assert rep.feasible and not rep.boundary
+        assert rep.solution == pytest.approx(0.9995001, abs=1e-7)
+
+    @pytest.mark.parametrize("q", [-1e-6, -5e-4, -0.05])
+    def test_optimum_next_to_the_contour_edge(self, q):
+        # the first scan point lies far inside a window starting at a small lam_min,
+        # so the optimum is searched from the edge; at q = -1e-6 the scan from
+        # lam = 1e-4 reported a boundary supremum there
+        rep = qh.optimal_squeezing_for_mandel_q(q)
+        assert rep.feasible and not rep.boundary
+        lam_min = -q / (2.0 + q)
+        lams = lam_min + np.geomspace(1e-3 * lam_min, 0.5, 4000)
+        y = solvers._contour(lams, q, 1.0, 0.0)[1]
+        assert solvers._contour(rep.solution, q, 1.0, 0.0)[1] <= y.min()
 
     def test_infeasible_below_efficiency_threshold(self):
         rep = qh.optimal_squeezing_for_mandel_q(0.0, qh.DetectorModel(eta=0.45))
